@@ -96,6 +96,7 @@ def load_config(path: str | None, section: str) -> dict:
     cfg = dict(DEFAULTS[section])
     if path is not None:
         parser = configparser.ConfigParser()
+        parser.optionxform = str  # keys such as L, T and M are case-sensitive
         with open(path) as fh:
             parser.read_file(fh)
         if parser.has_section(section):

@@ -108,19 +108,26 @@ def leray_project(f: SpectralVectorField) -> SpectralVectorField:
     construct mean-free data so this choice is never exercised.
     """
     g = f.grid
-    ksq = g.k_sq.copy()
+    out = _leray_apply((g.kx, g.ky, g.kz), g.k_sq, f.coeffs)
+    return SpectralVectorField(g, out, is_solenoidal=True)
+
+
+def _leray_apply(kvecs, k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
+    """The Leray formula on the modes of coeffs, whose first mode is xi = 0.
+
+    ``kvecs`` and ``k_sq`` broadcast against one component of ``coeffs``;
+    the result goes to ``out`` when given.
+    """
+    ksq = k_sq.copy()
     ksq[0, 0, 0] = 1.0  # keep the mean untouched
-    kdotf = g.kx * f.coeffs[0] + g.ky * f.coeffs[1] + g.kz * f.coeffs[2]
+    kdotf = kvecs[0] * coeffs[0] + kvecs[1] * coeffs[1] + kvecs[2] * coeffs[2]
     kdotf[0, 0, 0] = 0.0
     scale = kdotf / ksq
-    out = np.stack(
-        [
-            f.coeffs[0] - g.kx * scale,
-            f.coeffs[1] - g.ky * scale,
-            f.coeffs[2] - g.kz * scale,
-        ]
-    )
-    return SpectralVectorField(g, out, is_solenoidal=True)
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=np.result_type(coeffs, scale))
+    for i, k in enumerate(kvecs):
+        np.subtract(coeffs[i], k * scale, out=out[i])
+    return out
 
 
 def dealias_mask(grid: Grid3) -> np.ndarray:
@@ -138,30 +145,63 @@ def dealias(f: SpectralVectorField) -> SpectralVectorField:
     return replace(f, coeffs=f.coeffs * dealias_mask(f.grid))
 
 
-def _tensor_divergence(grid: Grid3, uv_hat: np.ndarray) -> np.ndarray:
-    """i xi_k (u_i v_k)^ contraction; uv_hat has shape (3, 3) + spectral."""
-    kvecs = (grid.kx, grid.ky, grid.kz)
-    out = np.empty((3,) + grid.spectral_shape, dtype=complex)
-    for i in range(3):
-        out[i] = 1j * (
-            kvecs[0] * uv_hat[i, 0] + kvecs[1] * uv_hat[i, 1] + kvecs[2] * uv_hat[i, 2]
-        )
-    return out
+# The products u_i v_k nonlinear_term transforms, each with the (i, k)
+# entries of the tensor it stands for; a symmetric tensor shares u_i u_k = u_k u_i.
+# Each row i meets its entries in k order, the order the divergence sums them in.
+_ALL_PRODUCTS = tuple(((i, k), ((i, k),)) for i in range(3) for k in range(3))
+_SYMMETRIC_PRODUCTS = tuple(
+    ((i, k), ((i, k), (k, i)) if i != k else ((i, k),)) for i in range(3) for k in range(i, 3)
+)
+
+
+def _same_field(u: SpectralVectorField, v: SpectralVectorField) -> bool:
+    """True when u and v are one field: the same object or views of the same memory."""
+    a, b = u.coeffs, v.coeffs
+    return u is v or (
+        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+        and a.strides == b.strides and a.shape == b.shape and a.dtype == b.dtype
+    )
 
 
 def nonlinear_term(u: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorField:
-    """P div (u (x) v), computed pseudo-spectrally with 2/3 dealiasing."""
+    """P div (u (x) v), computed pseudo-spectrally with 2/3 dealiasing.
+
+    When u and v are the same field, u is transformed once and only the six
+    distinct products of the symmetric tensor are formed and transformed.
+    Each product is transformed to the z-frequencies the 2/3 rule keeps and
+    added into the divergence i xi_k (u_i v_k)^ in k order; the rule and the
+    Leray projection act on those frequencies, and the rest of the spectrum
+    is zero.  The values are those of ``leray_project(dealias(...))`` of the
+    full-spectrum divergence.
+    """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
     up = u.to_physical()
-    vp = v.to_physical()
-    uv_hat = np.empty((3, 3) + g.spectral_shape, dtype=complex)
-    for i in range(3):
-        for k in range(3):
-            uv_hat[i, k] = g.forward(up[i] * vp[k])
-    out = SpectralVectorField(g, _tensor_divergence(g, uv_hat))
-    return leray_project(dealias(out))
+    if _same_field(u, v):
+        vp, products = up, _SYMMETRIC_PRODUCTS
+    else:
+        vp, products = v.to_physical(), _ALL_PRODUCTS
+    mask = dealias_mask(g)
+    kept = int(np.count_nonzero(mask[0, 0]))  # z-frequencies 0 .. kept-1 survive
+    kvecs = (g.kx, g.ky, g.kz[..., :kept])
+    div = np.empty((3, g.n, g.n, kept), dtype=complex)
+    term = np.empty(div.shape[1:], dtype=complex)
+    prod = np.empty(g.physical_shape)
+    for (i, k), entries in products:
+        uv_hat = g.forward(np.multiply(up[i], vp[k], out=prod), kz_keep=kept)
+        for row, col in entries:
+            if col == 0:
+                np.multiply(kvecs[0], uv_hat, out=div[row])
+            else:
+                div[row] += np.multiply(kvecs[col], uv_hat, out=term)
+    del up, vp, prod, uv_hat, term  # free each intermediate once used
+    div *= 1j
+    div *= mask[..., :kept]
+    out = np.empty((3,) + g.spectral_shape, dtype=complex)
+    out[..., kept:] = 0.0
+    _leray_apply(kvecs, g.k_sq[..., :kept], div, out=out[..., :kept])
+    return SpectralVectorField(g, out, is_solenoidal=True)
 
 
 def mollified_nonlinear_term(

@@ -67,13 +67,22 @@ class Grid3:
         x = self.axis_coords
         return np.meshgrid(x, x, x, indexing="ij")
 
-    def forward(self, samples: np.ndarray) -> np.ndarray:
-        """Real physical samples -> unnormalized rfftn coefficients."""
+    def forward(self, samples: np.ndarray, kz_keep: int | None = None) -> np.ndarray:
+        """Real physical samples -> unnormalized rfftn coefficients.
+
+        With ``kz_keep`` only the z-frequencies 0 .. kz_keep-1 are returned
+        and the x and y transforms run on those columns alone.  rfftn does
+        the same three passes in the same order, so the values equal the
+        first kz_keep columns of the full transform bit for bit.
+        """
         if samples.shape[-3:] != self.physical_shape:
             raise ValueError(
                 f"sample shape {samples.shape} does not match grid n={self.n}"
             )
-        return scipy.fft.rfftn(samples, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+        if kz_keep is None:
+            return scipy.fft.rfftn(samples, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+        half = scipy.fft.rfft(samples, axis=-1, workers=_FFT_WORKERS)[..., :kz_keep]
+        return scipy.fft.fftn(half, axes=(-3, -2), workers=_FFT_WORKERS, overwrite_x=True)
 
     def backward(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`."""

@@ -258,9 +258,37 @@ class SupportError(ValueError):
     """Mollifier support does not fit inside the box."""
 
 
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on (-1, 1).
+
+    Newton's method on the three-term recurrence from the usual cosine
+    guesses.  Unlike numpy's leggauss it calls no eigensolver: the threaded
+    LAPACK call behind leggauss(400) can stall for most of a second on its
+    first use in a process that already runs FFT worker threads.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one node, got n={n}")
+
+    def legendre_pair(x):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)  # P_n and P_n'
+
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre_pair(x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 4.0 * np.finfo(float).eps:
+            break
+    _, dp = legendre_pair(x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 @lru_cache(maxsize=8)
 def _bump_rule(n_nodes: int = 400):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     r = 0.5 * (x + 1.0)  # map to (0, 1)
     w = 0.5 * w
     profile = np.exp(-1.0 / (1.0 - r**2))

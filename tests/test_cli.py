@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mildns import grid
 from mildns.cli import config_hash, load_config, main
 
 
@@ -18,6 +19,15 @@ def test_ini_overrides(tmp_path):
     assert cfg["n_samples"] == 17
     assert cfg["h"] == 5e-4
     assert cfg["residual_tol"] == 1e-7  # untouched default
+
+
+def test_ini_keys_keep_their_case(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[hyper]\nL = 10.0\nM = 8\n")
+    cfg = load_config(str(path), "hyper")
+    assert cfg["L"] == 10.0
+    assert cfg["M"] == 8
+    assert cfg["T"] == 25.0  # untouched default
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -69,7 +79,25 @@ def test_seed_changes_samples_not_pass(tmp_path):
     assert (out1 / "landau.csv").read_bytes() != (out2 / "landau.csv").read_bytes()
 
 
-def test_threads_flag(tmp_path):
+def test_hyper_experiment_is_byte_identical(tmp_path, monkeypatch):
+    # a solver experiment: reruns and FFT worker counts give the same CSV bytes
+    monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[hyper]\nn = 16\nL = 10.0\nM = 8\nlin_n = 16\nlin_L = 20.0\nlin_points = 4\n"
+    )
+    csvs = []
+    for run, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+        out = tmp_path / run
+        # the linear-slope criterion fails at this size, so the exit code is not checked
+        main(["hyper", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert len(csvs[0]) == 4
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+def test_threads_flag(tmp_path, monkeypatch):
+    monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
     out = tmp_path / "out"
     assert main(["norms-selftest", "--out", str(out), "--threads", "1"]) == 0
 

@@ -145,6 +145,34 @@ def test_nonlinear_term_matches_convolution_oracle():
     assert np.abs(got.coeffs - expected).max() < 1e-10 * scale
 
 
+def _nonlinear_reference(u, v):
+    """Nine separate product transforms, the full-spectrum divergence, dealias, Leray."""
+    g = u.grid
+    up, vp = u.to_physical(), v.to_physical()
+    kv = (g.kx, g.ky, g.kz)
+    div = np.stack(
+        [1j * sum(kv[k] * g.forward(up[i] * vp[k]) for k in range(3)) for i in range(3)]
+    )
+    return leray_project(dealias(SpectralVectorField(g, div))).coeffs
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_nonlinear_term_equals_full_spectrum_reference(n):
+    g = make_grid(n, 5.0)
+    u = random_field(g, 30, solenoidal=True)
+    v = random_field(g, 31, solenoidal=True)
+    assert np.array_equal(nonlinear_term(u, v).coeffs, _nonlinear_reference(u, v))
+    # the symmetric path (one field) gives the general path's values exactly,
+    # whether u is passed twice, as two views of one array, or as a copy
+    ref = _nonlinear_reference(u, u.copy())
+    traj = np.stack([u.coeffs, v.coeffs])
+    views = (SpectralVectorField(g, traj[0]), SpectralVectorField(g, traj[0]))
+    for a, b in ((u, u), views, (u, u.copy())):
+        assert np.array_equal(nonlinear_term(a, b).coeffs, ref)
+    out = nonlinear_term(u, u).coeffs
+    assert not out[..., ~dealias_mask(g)[0, 0]].any()  # z-frequencies past the 2/3 cutoff
+
+
 def test_nonlinear_term_bilinear():
     g = make_grid(16, 2.0)
     u = random_field(g, 8, solenoidal=True)

@@ -49,6 +49,17 @@ def test_parseval():
     assert abs(direct - spectral) < 1e-10 * direct
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_forward_kz_keep_is_the_leading_columns_bit_for_bit(shape):
+    g = make_grid(16, 3.0)
+    x = np.random.default_rng(7).standard_normal(shape + g.physical_shape)
+    full = g.forward(x)
+    for kept in (1, 6, g.n // 2 + 1):
+        part = g.forward(x, kz_keep=kept)
+        assert part.shape == shape + (g.n, g.n, kept)
+        assert np.array_equal(part.view(np.uint8), full[..., :kept].copy().view(np.uint8))
+
+
 def test_single_mode_transform():
     # one cosine mode has exactly two nonzero full-spectrum coefficients
     g = make_grid(16, 2 * np.pi)

@@ -8,6 +8,7 @@ from mildns.grid import make_grid
 from mildns.kernels import (
     ContainmentError,
     SupportError,
+    _gauss_legendre,
     combined_multiplier,
     compute_Cl,
     heat_multiplier,
@@ -157,6 +158,19 @@ def test_gap_guards():
         l1_semigroup_gap(4.0, 100.0, g)  # not contained
     with pytest.raises(ValueError):
         l1_semigroup_gap(4.0, 0.0, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 400])
+def test_gauss_legendre_rule(n):
+    x, w = _gauss_legendre(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.diff(x) > 0) and np.abs(x - xr).max() < 1e-14
+    # leggauss's own weights are off by up to ~3e-12 of the largest at n = 400
+    assert np.abs(w - wr).max() < 1e-11 * wr.max()
+    # exact for every monomial of degree below 2n
+    for d in range(0, 2 * n, max(1, n // 8)):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(np.dot(w, x**d) - exact) < 1e-14
 
 
 def test_mollifier_symbol_properties():

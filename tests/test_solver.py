@@ -36,6 +36,31 @@ def taylor_green(grid, amplitude):
     return f
 
 
+def random_field(grid, amplitude, seed):
+    """Seeded random-phase field: solenoidal, dealiased, mean-free, L^2 norm amplitude."""
+    rng = np.random.default_rng(seed)
+    envelope = np.exp(-grid.k_sq / 8.0)
+    phase = np.exp(2j * np.pi * rng.random((3,) + grid.spectral_shape))
+    f = SpectralVectorField(grid, grid.forward(grid.backward(envelope * phase)))
+    f = leray_project(dealias(f))
+    f.coeffs[:, 0, 0, 0] = 0.0
+    f.coeffs *= amplitude / f.l2_norm()
+    return f
+
+
+def count_nonlinear(monkeypatch):
+    """Record every ModelSpec.nonlinear call from now on; returns the call list."""
+    calls = []
+    original = ModelSpec.nonlinear
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(ModelSpec, "nonlinear", counted)
+    return calls
+
+
 def shear_flow(grid, amplitude):
     """u = (a cos y, 0, 0): an exact solution decaying as e^-t."""
     _, Y, _ = grid.meshgrid()
@@ -171,10 +196,40 @@ def test_picard_contracts_geometrically():
     u0 = taylor_green(g, 0.2)
     times = graded_times(2.0, 32)
     traj = solve(ModelSpec("ns", g), u0, times)
-    res = traj.meta["residuals"]
-    assert traj.meta["converged"]
-    assert traj.meta["contraction_ratio"] < 0.2
+    meta = traj.meta
+    res = meta["residuals"]  # per iteration, the largest residual over the nodes
+    assert meta["converged"]
+    assert len(meta["iterations"]) == len(times) - 1
+    assert meta["sweeps"] == max(meta["iterations"]) == len(res) >= 2
+    assert meta["nonlinear_evals"] == sum(meta["iterations"]) + 1
+    assert meta["contraction_ratio"] < 0.2
     assert all(b < 0.5 * a for a, b in zip(res[:-1], res[1:]))
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs",
+    # kappa = 2 cells of the 16^3 grid on the 2 pi box
+    [("ns", {}), ("mollified", {"kappa": 2 * np.pi / 8}), ("hyper", {"ell": 4.0})],
+)
+def test_picard_solves_the_whole_trajectory_fixed_point(kind, kwargs, monkeypatch):
+    # independent whole-trajectory check: y + B(u, u) - u, with B from duhamel_bilinear
+    g = make_grid(16, 2 * np.pi)
+    model = ModelSpec(kind, g, **kwargs)
+    u0 = random_field(g, 2.0, seed=3)
+    times = graded_times(2.0, 16)
+    tol = 1e-9
+    calls = count_nonlinear(monkeypatch)
+    traj = solve(model, u0, times, tol=tol)
+    assert traj.meta["nonlinear_evals"] == len(calls)
+    y = linear_forced_term(u0, model, times)
+    b = duhamel_bilinear(traj, traj, model)
+    res = max(
+        SpectralVectorField(g, y.coeffs[m] + b.coeffs[m] - traj.coeffs[m]).l2_norm()
+        for m in range(len(times))
+    ) / y.max_l2()
+    assert res <= tol
+    # the nonlinear part of the solution is far above the tolerance
+    assert np.abs(traj.coeffs - y.coeffs).max() > 1e3 * tol * np.abs(y.coeffs).max()
 
 
 def test_picard_divergence_detected():
@@ -183,6 +238,23 @@ def test_picard_divergence_detected():
     times = graded_times(2.0, 16)
     with pytest.raises(PicardDivergenceError):
         solve(ModelSpec("ns", g), u0, times)
+
+
+def test_picard_fails_fast_on_nan_data(monkeypatch):
+    g = make_grid(16, 2 * np.pi)
+    u0 = taylor_green(g, 0.2)
+    u0.coeffs[0, 1, 2, 3] = np.nan
+    calls = count_nonlinear(monkeypatch)
+    with pytest.raises(PicardDivergenceError, match=r"node 1 at t = .*non-finite"):
+        solve(ModelSpec("ns", g), u0, graded_times(2.0, 16))
+    assert len(calls) == 2  # node 0, then one iteration at node 1
+
+
+def test_picard_iteration_cap_per_node():
+    g = make_grid(16, 2 * np.pi)
+    u0 = taylor_green(g, 0.2)
+    with pytest.raises(PicardDivergenceError, match=r"node 1 .*no convergence in 2 iter"):
+        solve(ModelSpec("ns", g), u0, graded_times(2.0, 32), tol=1e-30, max_sweeps=2)
 
 
 def test_energy_nonincreasing_unforced():
