@@ -5,6 +5,10 @@ JSON report into the output directory, prints a per-criterion table, and
 exits 0 only when every declared pass-criterion holds.  Long-time limit
 claims are operationalized as finite-window surrogates: a trend over a
 declared measurement window plus a minimum drop factor per time decade.
+The measurements themselves (difference curves, drop rates, the bump
+perturbation, the linear part, the gap curves) live in
+``mildns.experiments``, shared with the acceptance suite; the thresholds
+live here, with the criteria that apply them.
 
 Configuration is INI-style, one section per experiment, every physical
 parameter in box units; missing keys fall back to the defaults below.  A
@@ -18,7 +22,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -27,17 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import homogeneous_data, landau_residual, landau_shell_samples
-from .fields import SpectralVectorField, leray_project
-from .grid import make_grid, set_fft_workers
-from .kernels import ContainmentError, compute_Cl, l1_semigroup_gap
-from .norms import (
-    DecayCurve,
-    decay_functional,
-    fit_slope,
-    lp_norm,
-    weak_lp_norm,
-    write_curve_csv,
+from .experiments import (
+    bump_perturbation,
+    difference_curve,
+    drop_per_decade,
+    gap_curve,
+    heat_weak3_curve,
+    is_monotone_decreasing,
+    linear_part_curve,
 )
+from .fields import SpectralVectorField
+from .grid import make_grid, set_fft_workers
+from .kernels import compute_Cl
+from .norms import fit_slope, lp_norm, weak_lp_norm, write_curve_csv
 from .solver import ModelSpec, duhamel_bilinear, solve
 
 
@@ -113,41 +118,13 @@ def config_hash(section: str, cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def drop_per_decade(curve: DecayCurve, lo: float, hi: float) -> float:
-    """Total drop factor normalized to one time decade over [lo, hi]."""
-    mask = (curve.times >= lo) & (curve.times <= hi)
-    t = curve.times[mask]
-    v = curve.values[mask]
-    if t.size < 2:
-        raise ValueError("measurement window holds fewer than 2 samples")
-    decades = math.log10(t[-1] / t[0])
-    return (v[0] / v[-1]) ** (1.0 / decades)
-
-
-def is_monotone_decreasing(curve: DecayCurve, lo: float, hi: float, slack=1e-3):
-    mask = (curve.times >= lo) & (curve.times <= hi)
-    v = curve.values[mask]
-    return bool(np.all(np.diff(v) <= slack * v[:-1]))
-
-
-def _solve_pair(cfg, build_data):
-    """Shared scaffolding: grid, graded-in-log times, trajectories."""
+def _desk_setup(cfg):
+    """Grid, graded-in-log times and the swirl data of the solver experiments."""
     g = make_grid(int(cfg["n"]), cfg["L"])
     times = np.concatenate(
         [[0.0], np.geomspace(cfg["t_min"], cfg["T"], int(cfg["M"]))]
     )
-    return g, times, build_data(g)
-
-
-def weak3_curve(grid, times, coeffs_a, coeffs_b, label) -> DecayCurve:
-    ts, vals = [], []
-    for m, t in enumerate(times):
-        if t <= 0:
-            continue
-        d = SpectralVectorField(grid, coeffs_a[m] - coeffs_b[m])
-        ts.append(t)
-        vals.append(weak_lp_norm(d.to_physical(), 3.0, grid.cell_volume))
-    return DecayCurve(np.array(ts), np.array(vals), label, 3.0, "weak")
+    return g, times, homogeneous_data(g, cfg["amplitude"], delta_cells=cfg["delta_cells"])
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +132,16 @@ def weak3_curve(grid, times, coeffs_a, coeffs_b, label) -> DecayCurve:
 
 
 def exp_stability(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = _solve_pair(
-        cfg, lambda g: homogeneous_data(g, cfg["amplitude"], delta_cells=cfg["delta_cells"])
-    )
-    # solenoidal integrable perturbation: in-plane curl of a Gaussian
-    X, Y, _ = g.meshgrid()
-    L = g.length
-    r2 = (X - L / 2) ** 2 + (Y - L / 2) ** 2 + (g.meshgrid()[2] - L / 2) ** 2
-    psi_hat = g.forward(cfg["bump_amplitude"] * np.exp(-r2 / (2 * cfg["bump_sigma"] ** 2)))
-    du = np.stack(
-        [1j * g.ky * psi_hat, -1j * g.kx * psi_hat, np.zeros_like(psi_hat)]
-    )
+    g, times, u0 = _desk_setup(cfg)
+    du = bump_perturbation(g, cfg["bump_amplitude"], cfg["bump_sigma"])
     u0_tilde = SpectralVectorField(g, u0.coeffs + du, is_solenoidal=True)
 
     model = ModelSpec("ns", g)
     traj = solve(model, u0, times)
     traj_tilde = solve(model, u0_tilde, times)
-    diff = weak3_curve(g, times, traj.coeffs, traj_tilde.coeffs, "||u-u~||_{3,w}")
-
+    diff = difference_curve(g, times, traj.coeffs, traj_tilde.coeffs, 3.0, "weak", "||u-u~||_{3,w}")
     ts = diff.times
-    lin_vals = [
-        weak_lp_norm(
-            g.backward(np.exp(-t * g.k_sq) * (u0.coeffs - u0_tilde.coeffs)),
-            3.0, g.cell_volume,
-        )
-        for t in ts
-    ]
-    lin = DecayCurve(ts, np.array(lin_vals), "||S(t)(u0-u0~)||_{3,w}", 3.0, "weak")
+    lin = heat_weak3_curve(g, ts, u0.coeffs - u0_tilde.coeffs, "||S(t)(u0-u0~)||_{3,w}")
 
     lo, hi, need = cfg["window_lo"], cfg["window_hi"], cfg["drop_per_decade"]
     fit_slope(diff, (lo, hi))
@@ -204,9 +164,7 @@ def exp_stability(cfg: dict, outdir: str, tag: str):
 
 
 def exp_mollified(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = _solve_pair(
-        cfg, lambda g: homogeneous_data(g, cfg["amplitude"], delta_cells=cfg["delta_cells"])
-    )
+    g, times, u0 = _desk_setup(cfg)
     kap1 = cfg["kappa_cells"] * g.dx
     kap2 = cfg["kappa_cells_2"] * g.dx
     traj = solve(ModelSpec("ns", g), u0, times)
@@ -217,11 +175,7 @@ def exp_mollified(cfg: dict, outdir: str, tag: str):
     for name, other, kap in (("kappa1", traj1, kap1), ("kappa2", traj2, kap2)):
         for p_key in ("p", "p2"):
             p = cfg[p_key]
-            fields = [
-                SpectralVectorField(g, traj.coeffs[m] - other.coeffs[m])
-                for m in range(len(times))
-            ]
-            c = decay_functional(times, fields, p, kind="lp")
+            c = difference_curve(g, times, traj.coeffs, other.coeffs, p, "lp")
             curves[(name, p_key)] = c
             write_curve_csv(
                 os.path.join(outdir, f"difference_{name}_p{p:g}.csv"),
@@ -246,22 +200,16 @@ def exp_mollified(cfg: dict, outdir: str, tag: str):
 
 
 def exp_hyper(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = _solve_pair(
-        cfg, lambda g: homogeneous_data(g, cfg["amplitude"], delta_cells=cfg["delta_cells"])
-    )
+    g, times, u0 = _desk_setup(cfg)
     ell = cfg["ell"]
     traj = solve(ModelSpec("ns", g), u0, times)
     traj_w = solve(ModelSpec("hyper", g, ell=ell), u0, times)
-    diff = weak3_curve(g, times, traj.coeffs, traj_w.coeffs, "||u-w||_{3,w}")
+    diff = difference_curve(g, times, traj.coeffs, traj_w.coeffs, 3.0, "weak", "||u-w||_{3,w}")
     lo, hi, need = cfg["window_lo"], cfg["window_hi"], cfg["drop_per_decade"]
     fit_slope(diff, (lo, hi))
     write_curve_csv(os.path.join(outdir, "difference_weak3.csv"), diff, [f"config={tag}"])
 
-    fields = [
-        SpectralVectorField(g, traj.coeffs[m] - traj_w.coeffs[m])
-        for m in range(len(times))
-    ]
-    cp = decay_functional(times, fields, cfg["p"], kind="lp")
+    cp = difference_curve(g, times, traj.coeffs, traj_w.coeffs, cfg["p"], "lp")
     write_curve_csv(
         os.path.join(outdir, f"difference_p{cfg['p']:g}.csv"), cp, [f"config={tag}"]
     )
@@ -270,35 +218,13 @@ def exp_hyper(cfg: dict, outdir: str, tag: str):
     # trajectory under the plain vs regularized propagator (recorded only)
     b_ns = duhamel_bilinear(traj_w, traj_w, ModelSpec("ns", g))
     b_h = duhamel_bilinear(traj_w, traj_w, ModelSpec("hyper", g, ell=ell))
-    gap = weak3_curve(g, times, b_ns.coeffs, b_h.coeffs, "duhamel propagator gap")
+    gap = difference_curve(g, times, b_ns.coeffs, b_h.coeffs, 3.0, "weak", "duhamel propagator gap")
     write_curve_csv(os.path.join(outdir, "integrand_gap.csv"), gap, [f"config={tag}"])
 
-    # linear part on a large box: random-phase data with spectral envelope
-    # |xi|^(1-ell) makes the stationary field's deviation scale like the
-    # claimed t^-(1/2-1/ell)
+    # linear part on a large box
     gl = make_grid(int(cfg["lin_n"]), cfg["lin_L"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    kmag = np.sqrt(gl.k_sq)
-    kmag[0, 0, 0] = 1.0
-    c = (
-        rng.standard_normal((3,) + gl.spectral_shape)
-        + 1j * rng.standard_normal((3,) + gl.spectral_shape)
-    ) * kmag ** (1.0 - ell)
-    c[:, 0, 0, 0] = 0.0
-    f = leray_project(SpectralVectorField(gl, c))
-    f = SpectralVectorField.from_physical(gl, f.to_physical())
     lts = np.geomspace(cfg["lin_window_lo"], cfg["lin_window_hi"], int(cfg["lin_points"]))
-    lvals = [
-        weak_lp_norm(
-            gl.backward(
-                (np.exp(-t * gl.k_sq ** (ell / 2.0)) - 1.0)
-                * np.exp(-t * gl.k_sq) * f.coeffs
-            ),
-            3.0, gl.cell_volume,
-        )
-        for t in lts
-    ]
-    lin = DecayCurve(lts, np.array(lvals), "||(S_l(t)-1)S(t)u0||_{3,w}", 3.0, "weak")
+    lin = linear_part_curve(gl, lts, ell, int(cfg["seed"]), "||(S_l(t)-1)S(t)u0||_{3,w}")
     sf = fit_slope(lin, (lts[0], lts[-1]))
     write_curve_csv(os.path.join(outdir, "linear_part.csv"), lin, [f"config={tag}"])
 
@@ -339,18 +265,13 @@ def exp_kernels(cfg: dict, outdir: str, tag: str):
     guards = []
     rows = []
     for ell in [float(s) for s in str(cfg["gap_ells"]).split(",")]:
-        ts, vals = [], []
-        for t in gap_ts:
-            try:
-                vals.append(l1_semigroup_gap(ell, t, gg))
-                ts.append(t)
-            except ContainmentError as exc:
-                guards.append(f"ell={ell:g} t={t:g}: {exc}")
-        curve = DecayCurve(np.array(ts), np.array(vals), "L1 semigroup gap")
+        curve, missed = gap_curve(gg, gap_ts, ell)
+        guards.extend(missed)
+        ts, vals = curve.times, curve.values
         sf = fit_slope(curve, (ts[0], ts[-1]))
         rows.extend((ell, t, v) for t, v in zip(ts, vals))
         if ell == 2.0:
-            spread = (max(vals) - min(vals)) / max(vals)
+            spread = (vals.max() - vals.min()) / vals.max()
             criteria.append(Criterion(
                 "gap t-independent within {:g} for ell=2".format(cfg["flat_tol"]),
                 spread <= cfg["flat_tol"], f"relative spread {spread:.2e}"))

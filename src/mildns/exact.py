@@ -137,7 +137,6 @@ def _smooth_step(s: np.ndarray) -> np.ndarray:
 def homogeneous_data(
     grid: Grid3,
     amplitude: float,
-    profile: str = "swirl",
     delta_cells: float = 4.0,
 ) -> SpectralVectorField:
     """Regularized degree -1 divergence-free data, windowed to the box.
@@ -146,8 +145,6 @@ def homogeneous_data(
     |x|^2 -> |x|^2 + delta^2, multiplied by a smooth cutoff that is 1
     for |x| <= L/4 and 0 for |x| >= 3L/8, then Leray-projected.
     """
-    if profile != "swirl":
-        raise ValueError(f"unknown profile {profile!r}")
     if delta_cells < 2.0:
         raise ValueError(f"regularization core must span >= 2 cells, got {delta_cells}")
     L = grid.length

@@ -23,18 +23,8 @@ class FourierMultiplier:
     values: np.ndarray  # broadcastable against the spectral shape
     label: str = ""
 
-    def __mul__(self, other: "FourierMultiplier") -> "FourierMultiplier":
-        if self.grid != other.grid:
-            raise ValueError("multiplier grids differ")
-        return FourierMultiplier(
-            self.grid, self.values * other.values, f"{self.label}*{other.label}"
-        )
-
     def apply(self, f: "SpectralVectorField") -> "SpectralVectorField":
         return replace(f, coeffs=f.coeffs * self.values)
-
-    def apply_scalar(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs * self.values
 
 
 @dataclass
@@ -77,14 +67,6 @@ class SpectralVectorField:
         ratio = div / denom
         ratio[0, 0, 0] = 0.0
         return float(ratio.max())
-
-
-def transform_forward(grid: Grid3, samples: np.ndarray) -> SpectralVectorField:
-    return SpectralVectorField.from_physical(grid, samples)
-
-
-def transform_backward(f: SpectralVectorField) -> np.ndarray:
-    return f.to_physical()
 
 
 def divergence(f: SpectralVectorField) -> np.ndarray:

@@ -146,16 +146,6 @@ def kernel_table(ell: float, radii: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class RadialKernelTable:
-    """Sampled p_l(., 1) with an estimated truncation tail bound."""
-
-    ell: float
-    radii: np.ndarray
-    values: np.ndarray
-    tail_bound: float
-
-
 def _tail_coefficient(ell: float) -> float:
     """Leading large-r coefficient K in p_l(r,1) ~ K r^(-3-l)."""
     return gamma_fn(ell + 2.0) * abs(math.sin(math.pi * ell / 2.0)) / (2.0 * math.pi**2)
@@ -164,12 +154,6 @@ def _tail_coefficient(ell: float) -> float:
 def _algebraic_tail(ell: float, r_cut: float) -> float:
     """4 pi int_{r_cut}^inf K r^(-3-l) r^2 dr, the asymptotic tail mass."""
     return 4.0 * math.pi * _tail_coefficient(ell) / (ell * r_cut**ell)
-
-
-def make_kernel_table(ell: float, r_max: float, n_points: int = 2048) -> RadialKernelTable:
-    radii = np.linspace(0.0, r_max, n_points)
-    values = kernel_table(ell, radii)
-    return RadialKernelTable(ell, radii, values, _algebraic_tail(ell, r_max))
 
 
 @dataclass
@@ -301,15 +285,6 @@ def bump_normalization() -> float:
     return 1.0 / (4.0 * math.pi * float((w * profile * r**2).sum()))
 
 
-def bump_profile(r: np.ndarray) -> np.ndarray:
-    """The unit-width mollifier omega(|x|=r): smooth, >=0, supported in r<1."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    out[inside] = bump_normalization() * np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
-
-
 def bump_symbol(k: np.ndarray) -> np.ndarray:
     """omega^(k), the radial Fourier transform of the unit-width bump."""
     k = np.asarray(k, dtype=float)
@@ -337,7 +312,6 @@ class MollifierSpec:
 
     grid: Grid3
     kappa: float
-    profile: str
     values: np.ndarray
 
     def multiplier(self) -> FourierMultiplier:
@@ -346,12 +320,10 @@ class MollifierSpec:
         )
 
 
-def mollifier_symbol(grid: Grid3, kappa: float, profile: str = "bump") -> MollifierSpec:
-    """Sample omega_kappa^(xi) = omega^(kappa xi) on the grid."""
+def mollifier_symbol(grid: Grid3, kappa: float) -> MollifierSpec:
+    """Sample omega_kappa^(xi) = omega^(kappa xi) of the bump on the grid."""
     if kappa < 0:
         raise ValueError(f"mollifier width must be nonnegative, got kappa={kappa}")
-    if profile != "bump":
-        raise ValueError(f"unknown mollifier profile {profile!r}")
     if kappa > grid.length / 2.0:
         raise SupportError(
             f"mollifier support radius {kappa} exceeds half box {grid.length / 2}"
@@ -365,4 +337,4 @@ def mollifier_symbol(grid: Grid3, kappa: float, profile: str = "bump") -> Mollif
         table_v = bump_symbol(table_s)
         table_v /= table_v[0]  # enforce unit mass exactly
         values = np.interp(kappa * kmag, table_s, table_v)
-    return MollifierSpec(grid, kappa, profile, values)
+    return MollifierSpec(grid, kappa, values)

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    SpectralVectorField,
-    leray_project,
-    mollified_nonlinear_term,
-    nonlinear_term,
-)
+from .fields import SpectralVectorField, mollified_nonlinear_term, nonlinear_term
+# The benchmark's tracer (bench/tracing.py) patches solver.leray_project by
+# name, so the name stays importable here although the solver does not call it.
+from .fields import leray_project  # noqa: F401
 from .grid import Grid3
 from .kernels import mollifier_symbol
 
@@ -31,57 +29,6 @@ class PicardDivergenceError(RuntimeError):
 
 class BlowupError(RuntimeError):
     """Time marcher aborted on unbounded growth."""
-
-
-# ---------------------------------------------------------------------------
-# Forcing
-
-
-class NoForcing:
-    kind = "none"
-
-    def spectral_force(self, grid: Grid3, t: float):
-        return None
-
-
-@dataclass
-class SteadyGaussianForce:
-    """F(x) = b * p(x, sigma^2 / 2): a Gaussian surrogate of b delta_0.
-
-    Mean-free on the torus (the zero mode is dropped), with continuum
-    Fourier transform b_i exp(-sigma^2 |xi|^2 / 2).
-    """
-
-    b: tuple
-    sigma: float
-    kind = "steady_delta"
-
-    def spectral_force(self, grid: Grid3, t: float) -> np.ndarray:
-        envelope = np.exp(-0.5 * self.sigma**2 * grid.k_sq) / grid.cell_volume
-        out = np.stack([bi * envelope for bi in self.b]).astype(complex)
-        out[:, 0, 0, 0] = 0.0
-        return out
-
-
-@dataclass
-class DivergenceForcing:
-    """F = div V with the tensor potential V supplied per time.
-
-    ``v_spectral(grid, t)`` must return the (3, 3) + spectral tensor
-    V^_{ik}; the force spectrum is F^_i = i xi_k V^_{ik}.
-    """
-
-    v_spectral: object
-    kind = "divergence_form"
-
-    def spectral_force(self, grid: Grid3, t: float) -> np.ndarray:
-        V = self.v_spectral(grid, t)
-        kv = (grid.kx, grid.ky, grid.kz)
-        out = np.empty((3,) + grid.spectral_shape, dtype=complex)
-        for i in range(3):
-            out[i] = 1j * (kv[0] * V[i, 0] + kv[1] * V[i, 1] + kv[2] * V[i, 2])
-        out[:, 0, 0, 0] = 0.0
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +43,6 @@ class ModelSpec:
     grid: Grid3
     kappa: float = 0.0
     ell: float | None = None
-    forcing: object = field(default_factory=NoForcing)
 
     def __post_init__(self):
         if self.kind not in ("ns", "mollified", "hyper"):
@@ -218,40 +164,13 @@ def duhamel_bilinear(
 def linear_forced_term(
     u0: SpectralVectorField, model: ModelSpec, times: np.ndarray
 ) -> TimeGridSolution:
-    """y(t_m) = propagator(t_m) u0 + Duhamel of the projected force."""
+    """y(t_m) = propagator(t_m) u0, the linear part of the mild solution."""
     times = np.asarray(times, dtype=float)
     mu = model.dissipation_exponent()
     out = TimeGridSolution.zeros(u0.grid, times)
     out.coeffs[0] = u0.coeffs
-    forcing = model.forcing
-    if forcing.kind == "none":
-        for m in range(1, len(times)):
-            out.coeffs[m] = np.exp(-times[m] * mu) * u0.coeffs
-    elif forcing.kind == "steady_delta":
-        f_hat = leray_project(
-            SpectralVectorField(u0.grid, forcing.spectral_force(u0.grid, 0.0))
-        ).coeffs
-        mu_safe = np.where(mu > 0, mu, 1.0)
-        for m in range(1, len(times)):
-            t = times[m]
-            # exact multiplier (1 - exp(-t mu)) / mu, no time quadrature
-            gain = -np.expm1(-t * mu_safe) / mu_safe
-            gain = np.where(mu > 0, gain, t)
-            out.coeffs[m] = np.exp(-t * mu) * u0.coeffs + gain * f_hat
-    else:
-        pf_old = leray_project(
-            SpectralVectorField(u0.grid, forcing.spectral_force(u0.grid, times[0]))
-        ).coeffs
-        acc = np.zeros_like(u0.coeffs)
-        for m in range(1, len(times)):
-            dt = times[m] - times[m - 1]
-            decay, w_new, w_old = _interval_weights(mu, dt)
-            pf_new = leray_project(
-                SpectralVectorField(u0.grid, forcing.spectral_force(u0.grid, times[m]))
-            ).coeffs
-            acc = decay * acc + (w_new * pf_new + w_old * pf_old)
-            pf_old = pf_new
-            out.coeffs[m] = np.exp(-times[m] * mu) * u0.coeffs + acc
+    for m in range(1, len(times)):
+        out.coeffs[m] = np.exp(-times[m] * mu) * u0.coeffs
     return out
 
 
@@ -336,13 +255,9 @@ def etd_march(
     out.coeffs[0] = u0.coeffs
     guard = 10.0 * max(np.abs(u0.to_physical()).max(), 1e-300)
 
-    def rhs(coeffs: np.ndarray, t: float) -> np.ndarray:
+    def rhs(coeffs: np.ndarray) -> np.ndarray:
         f = SpectralVectorField(g, coeffs, is_solenoidal=True)
-        n = -model.nonlinear(f, f).coeffs
-        fs = model.forcing.spectral_force(g, t)
-        if fs is not None:
-            n = n + leray_project(SpectralVectorField(g, fs)).coeffs
-        return n
+        return -model.nonlinear(f, f).coeffs
 
     cur = u0.coeffs.copy()
     for m in range(1, len(times)):
@@ -351,9 +266,9 @@ def etd_march(
         # ETD2RK: predictor with the phi1 weight, corrector with phi2;
         # the product-integration weights satisfy w_new + w_old = dt*phi1
         # and w_new = dt*phi2.
-        n_old = rhs(cur, times[m - 1])
+        n_old = rhs(cur)
         pred = decay * cur + (w_new + w_old) * n_old
-        n_pred = rhs(pred, times[m])
+        n_pred = rhs(pred)
         cur = pred + w_new * (n_pred - n_old)
         out.coeffs[m] = cur
         if np.abs(SpectralVectorField(g, cur).to_physical()).max() > guard:

@@ -5,25 +5,30 @@ The three hyperviscous semigroup-gap slope tests encode the claimed rate
 (the kernel's vanishing first moment improves the rate), so those tests
 fail by construction; see the kernel unit tests for the verification of
 the claim as an upper bound.
-"""
 
-import math
+The measurements (difference curves, drop rates, the bump perturbation,
+the linear part, the gap curves) come from ``mildns.experiments``, the
+same functions the CLI uses; the thresholds and windows live here.
+"""
 
 import numpy as np
 import pytest
 
 from mildns.cli import main
 from mildns.exact import homogeneous_data, rescale
-from mildns.fields import (
-    SpectralVectorField,
-    dealias,
-    dealias_mask,
-    leray_project,
-    nonlinear_term,
+from mildns.experiments import (
+    bump_perturbation,
+    difference_curve,
+    drop_per_decade,
+    gap_curve,
+    heat_weak3_curve,
+    is_monotone_decreasing,
+    linear_part_curve,
 )
+from mildns.fields import SpectralVectorField, dealias, dealias_mask, leray_project
 from mildns.grid import make_grid
-from mildns.kernels import compute_Cl, l1_semigroup_gap
-from mildns.norms import DecayCurve, fit_slope, lp_norm, weak_lp_norm
+from mildns.kernels import compute_Cl
+from mildns.norms import decay_functional, fit_slope
 from mildns.solver import ModelSpec, etd_march, solve
 
 AMPLITUDE = 0.5
@@ -52,23 +57,6 @@ def desk_data(desk_grid):
 @pytest.fixture(scope="module")
 def ns_traj(desk_grid, desk_data, desk_times):
     return solve(ModelSpec("ns", desk_grid), desk_data, desk_times)
-
-
-def weak3_diff_curve(grid, times, coeffs_a, coeffs_b):
-    ts, vals = [], []
-    for m, t in enumerate(times):
-        if t <= 0:
-            continue
-        d = SpectralVectorField(grid, coeffs_a[m] - coeffs_b[m])
-        ts.append(t)
-        vals.append(weak_lp_norm(d.to_physical(), 3.0, grid.cell_volume))
-    return DecayCurve(np.array(ts), np.array(vals), "", 3.0, "weak")
-
-
-def drop_per_decade(curve, lo, hi):
-    mask = (curve.times >= lo) & (curve.times <= hi)
-    t, v = curve.times[mask], curve.values[mask]
-    return (v[0] / v[-1]) ** (1.0 / math.log10(t[-1] / t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +130,21 @@ def test_criterion_02_kernel_constants():
 def gap_curves():
     g = make_grid(256, 64.0)
     ts = np.geomspace(1.0, 64.0, 7)
-    return {
-        ell: np.array([l1_semigroup_gap(ell, t, g) for t in ts])
-        for ell in (2.0, 3.0, 4.0, 6.0)
-    }, ts
+    return {ell: gap_curve(g, ts, ell) for ell in (2.0, 3.0, 4.0, 6.0)}
 
 
 def test_criterion_03_gap_invariance_ell2(gap_curves):
-    gaps, _ = gap_curves
-    vals = gaps[2.0]
+    curve, guards = gap_curves[2.0]
+    assert not guards, guards
+    vals = curve.values
     assert (vals.max() - vals.min()) / vals.max() < 0.01
 
 
 @pytest.mark.parametrize("ell", [3.0, 4.0, 6.0])
 def test_criterion_03_gap_slope(gap_curves, ell):
-    gaps, ts = gap_curves
-    curve = DecayCurve(ts, gaps[ell])
-    sf = fit_slope(curve, (ts[0], ts[-1]))
+    curve, guards = gap_curves[ell]
+    assert not guards, guards
+    sf = fit_slope(curve, (curve.times[0], curve.times[-1]))
     target = -(0.5 - 1.0 / ell)
     assert abs(sf.slope - target) <= 0.05, (
         f"ell={ell}: fitted slope {sf.slope:.3f} vs claimed {target:.3f}; "
@@ -242,20 +228,9 @@ def test_criterion_06_mollified_kappa_zero():
 # 7. self-similar decay of the homogeneous-data solution
 
 
-def test_criterion_07_self_similarity(desk_grid, desk_times, ns_traj):
-    g = desk_grid
-    p = 4.0
-    ts, vals = [], []
-    for m, t in enumerate(desk_times):
-        if t <= 0:
-            continue
-        ts.append(t)
-        vals.append(
-            t ** ((1 - 3 / p) / 2)
-            * lp_norm(ns_traj.node(m).to_physical(), p, g.cell_volume)
-        )
-    ts = np.array(ts)
-    vals = np.array(vals)
+def test_criterion_07_self_similarity(desk_times, ns_traj):
+    curve = decay_functional(desk_times, ns_traj.fields(), 4.0)
+    ts, vals = curve.times, curve.values
     # some factor-8 window keeps the functional constant within 10%
     best = np.inf
     for i, t0 in enumerate(ts):
@@ -305,26 +280,12 @@ def mollified_trajs(desk_grid, desk_data, desk_times):
 
 
 def test_criterion_08_mollified_convergence(desk_grid, desk_times, ns_traj, mollified_trajs):
-    g = desk_grid
-    p = 4.0
-    mol1, mol2 = mollified_trajs
-    curves = []
-    for mol in (mol1, mol2):
-        ts, vals = [], []
-        for m, t in enumerate(desk_times):
-            if t <= 0:
-                continue
-            d = SpectralVectorField(g, ns_traj.coeffs[m] - mol.coeffs[m])
-            ts.append(t)
-            vals.append(
-                t ** ((1 - 3 / p) / 2) * lp_norm(d.to_physical(), p, g.cell_volume)
-            )
-        curves.append(DecayCurve(np.array(ts), np.array(vals)))
-    c1, c2 = curves
+    c1, c2 = (
+        difference_curve(desk_grid, desk_times, ns_traj.coeffs, mol.coeffs, 4.0, "lp")
+        for mol in mollified_trajs
+    )
     lo, hi = 0.6, 21.0
-    mask = (c1.times >= lo) & (c1.times <= hi)
-    window = c1.values[mask]
-    assert np.all(np.diff(window) <= 1e-3 * window[:-1]), "not monotone in window"
+    assert is_monotone_decreasing(c1, lo, hi), "not monotone in window"
     rate = drop_per_decade(c1, lo, hi)
     assert rate >= 2.0, f"drop per decade {rate:.2f}"
     early = c1.times < lo
@@ -337,38 +298,16 @@ def test_criterion_08_mollified_convergence(desk_grid, desk_times, ns_traj, moll
 
 def test_criterion_09_hyper_difference(desk_grid, desk_data, desk_times, ns_traj):
     traj_w = solve(ModelSpec("hyper", desk_grid, ell=4.0), desk_data, desk_times)
-    curve = weak3_diff_curve(desk_grid, desk_times, ns_traj.coeffs, traj_w.coeffs)
+    curve = difference_curve(desk_grid, desk_times, ns_traj.coeffs, traj_w.coeffs, 3.0, "weak")
     rate = drop_per_decade(curve, 0.6, 21.0)
     assert rate >= 2.0, f"drop per decade {rate:.2f}"
 
 
 def test_criterion_09_linear_part_slope():
-    # stationary random data with spectral envelope |xi|^(1 - l) makes the
-    # weak-norm deviation of (S_l(t) - 1) S(t) decay at the claimed rate
     ell = 4.0
-    g = make_grid(128, 160.0)
-    rng = np.random.default_rng(7)
-    kmag = np.sqrt(g.k_sq)
-    kmag[0, 0, 0] = 1.0
-    c = (
-        rng.standard_normal((3,) + g.spectral_shape)
-        + 1j * rng.standard_normal((3,) + g.spectral_shape)
-    ) * kmag ** (1.0 - ell)
-    c[:, 0, 0, 0] = 0.0
-    f = leray_project(SpectralVectorField(g, c))
-    f = SpectralVectorField.from_physical(g, f.to_physical())
     ts = np.geomspace(10.0, 100.0, 12)
-    vals = [
-        weak_lp_norm(
-            g.backward(
-                (np.exp(-t * g.k_sq ** (ell / 2.0)) - 1.0)
-                * np.exp(-t * g.k_sq) * f.coeffs
-            ),
-            3.0, g.cell_volume,
-        )
-        for t in ts
-    ]
-    sf = fit_slope(DecayCurve(ts, np.array(vals)), (ts[0], ts[-1]))
+    curve = linear_part_curve(make_grid(128, 160.0), ts, ell, seed=7)
+    sf = fit_slope(curve, (ts[0], ts[-1]))
     target = -(0.5 - 1.0 / ell)
     assert abs(sf.slope - target) <= 0.1, f"slope {sf.slope:.3f} vs {target}"
 
@@ -379,20 +318,12 @@ def test_criterion_09_linear_part_slope():
 
 def test_criterion_10_stability(desk_grid, desk_data, desk_times, ns_traj):
     g = desk_grid
-    X, Y, Z = g.meshgrid()
-    L = g.length
-    r2 = (X - L / 2) ** 2 + (Y - L / 2) ** 2 + (Z - L / 2) ** 2
-    psi_hat = g.forward(0.05 * np.exp(-r2 / (2 * 1.5**2)))
-    du = np.stack([1j * g.ky * psi_hat, -1j * g.kx * psi_hat, np.zeros_like(psi_hat)])
+    du = bump_perturbation(g, 0.05, 1.5)
     u0_tilde = SpectralVectorField(g, desk_data.coeffs + du, is_solenoidal=True)
     traj_tilde = solve(ModelSpec("ns", g), u0_tilde, desk_times)
 
-    diff = weak3_diff_curve(g, desk_times, ns_traj.coeffs, traj_tilde.coeffs)
-    lin_vals = [
-        weak_lp_norm(g.backward(np.exp(-t * g.k_sq) * (-du)), 3.0, g.cell_volume)
-        for t in diff.times
-    ]
-    lin = DecayCurve(diff.times, np.array(lin_vals))
+    diff = difference_curve(g, desk_times, ns_traj.coeffs, traj_tilde.coeffs, 3.0, "weak")
+    lin = heat_weak3_curve(g, diff.times, desk_data.coeffs - u0_tilde.coeffs)
 
     lo, hi = 0.25, 16.0
     rate = drop_per_decade(diff, lo, hi)

@@ -79,20 +79,29 @@ def test_seed_changes_samples_not_pass(tmp_path):
     assert (out1 / "landau.csv").read_bytes() != (out2 / "landau.csv").read_bytes()
 
 
-def test_hyper_experiment_is_byte_identical(tmp_path, monkeypatch):
-    # a solver experiment: reruns and FFT worker counts give the same CSV bytes
+SMALL_INI = "n = 16\nL = 10.0\nM = 8\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra, n_csv",
+    [
+        pytest.param("stability", "", 2, id="stability"),
+        pytest.param("mollified", "", 4, id="mollified"),
+        pytest.param("hyper", "lin_n = 16\nlin_L = 20.0\nlin_points = 4\n", 4, id="hyper"),
+    ],
+)
+def test_solver_experiment_is_byte_identical(tmp_path, monkeypatch, command, extra, n_csv):
+    # reruns and FFT worker counts give the same CSV bytes
     monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(
-        "[hyper]\nn = 16\nL = 10.0\nM = 8\nlin_n = 16\nlin_L = 20.0\nlin_points = 4\n"
-    )
+    cfg.write_text(f"[{command}]\n{SMALL_INI}{extra}")
     csvs = []
     for run, threads in (("a", "1"), ("b", "2"), ("c", "1")):
         out = tmp_path / run
-        # the linear-slope criterion fails at this size, so the exit code is not checked
-        main(["hyper", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        # some criteria fail at this size (the hyper linear slope), so the exit code is not checked
+        main([command, "--config", str(cfg), "--out", str(out), "--threads", threads])
         csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-    assert len(csvs[0]) == 4
+    assert len(csvs[0]) == n_csv
     assert csvs[0] == csvs[1] == csvs[2]
 
 

@@ -101,8 +101,6 @@ def test_homogeneous_data_matches_smoothed_profile():
 def test_homogeneous_data_validation():
     g = make_grid(16, 10.0)
     with pytest.raises(ValueError):
-        homogeneous_data(g, 1.0, profile="jet")
-    with pytest.raises(ValueError):
         homogeneous_data(g, 1.0, delta_cells=1.0)
 
 

@@ -212,17 +212,6 @@ def test_mollified_nonlinear_smooths_first_argument():
     assert np.abs(a.coeffs - b.coeffs).max() < 1e-12 * max(np.abs(b.coeffs).max(), 1.0)
 
 
-def test_multiplier_composition():
-    g = make_grid(8, 1.0)
-    rng = np.random.default_rng(14)
-    a = FourierMultiplier(g, rng.random(g.spectral_shape), "a")
-    b = FourierMultiplier(g, rng.random(g.spectral_shape), "b")
-    f = random_field(g, 15)
-    left = (a * b).apply(f).coeffs
-    right = a.apply(b.apply(f)).coeffs
-    assert np.allclose(left, right)
-
-
 def test_l2_norm_matches_physical():
     g = make_grid(16, 3.0)
     f = random_field(g, 16)
