@@ -23,6 +23,8 @@ def difference_curve(
 ) -> DecayCurve:
     """t^((1-3/p)/2) ||a(t) - b(t)|| at the positive nodes of two trajectories.
 
+    ``coeffs_a`` and ``coeffs_b`` hold one coefficient array per node, in
+    one layout: a solver trajectory's band blocks, or half spectra.
     ``kind`` is "lp" or "weak" as in ``norms.decay_functional``; at p = 3 the
     weight is 1, so the weak-3 curve is the plain weak norm of the difference.
     """

@@ -1,7 +1,12 @@
 """Spectral vector fields and the pseudo-spectral operator toolbox.
 
-Leray projection, divergence/gradient, 2/3-rule dealiasing and the two
-nonlinear terms (plain and mollified) all act on the rfft half spectrum.
+Coefficients come in two layouts, told apart by shape: the rfft half
+spectrum, and the block of it that the 2/3 rule keeps (``Grid3.band``),
+which solver trajectories are stored in.  Leray projection, divergence,
+the inner product and the two nonlinear terms (plain and mollified) take
+either layout and return the one they were given; gradient and 2/3-rule
+dealiasing act on the half spectrum.  ``check_solver_data`` rejects data
+the band would not hold.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class SpectralVectorField:
     """Three-component real velocity field stored as rfft coefficients."""
 
     grid: Grid3
-    coeffs: np.ndarray  # shape (3,) + grid.spectral_shape, complex
+    coeffs: np.ndarray  # shape (3,) + grid.spectral_shape, or (3,) + grid.band.shape
     is_solenoidal: bool = False
 
     @classmethod
@@ -59,20 +64,28 @@ class SpectralVectorField:
 
     def max_divergence_ratio(self) -> float:
         """max over modes of |xi . u^| / (|xi| |u^|), zero mode excluded."""
-        g = self.grid
         div = np.abs(divergence(self))
         mag = np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0))
-        kmag = np.sqrt(g.k_sq)
+        kmag = np.sqrt(_modes(self).k_sq)
         denom = np.where(mag > 0, mag, 1.0) * np.where(kmag > 0, kmag, 1.0)
         ratio = div / denom
         ratio[0, 0, 0] = 0.0
         return float(ratio.max())
 
 
+def _modes(f: SpectralVectorField):
+    """The grid, or its band for a band block: whichever has f's wavenumbers.
+
+    Both carry ``kx``, ``ky``, ``kz`` and ``k_sq``.
+    """
+    g = f.grid
+    return g.band if f.coeffs.shape[-3:] == g.band.shape else g
+
+
 def divergence(f: SpectralVectorField) -> np.ndarray:
     """(div f)^(xi) = i xi . f^(xi), returned as a scalar spectrum."""
-    g = f.grid
-    return 1j * (g.kx * f.coeffs[0] + g.ky * f.coeffs[1] + g.kz * f.coeffs[2])
+    k = _modes(f)
+    return 1j * (k.kx * f.coeffs[0] + k.ky * f.coeffs[1] + k.kz * f.coeffs[2])
 
 
 def gradient(grid: Grid3, phi_coeffs: np.ndarray) -> SpectralVectorField:
@@ -89,9 +102,9 @@ def leray_project(f: SpectralVectorField) -> SpectralVectorField:
     The zero mode is preserved (mean flow passes through); experiments
     construct mean-free data so this choice is never exercised.
     """
-    g = f.grid
-    out = _leray_apply((g.kx, g.ky, g.kz), g.k_sq, f.coeffs)
-    return SpectralVectorField(g, out, is_solenoidal=True)
+    k = _modes(f)
+    out = _leray_apply((k.kx, k.ky, k.kz), k.k_sq, f.coeffs)
+    return SpectralVectorField(f.grid, out, is_solenoidal=True)
 
 
 def _leray_apply(kvecs, k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
@@ -113,18 +126,44 @@ def _leray_apply(kvecs, k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.nd
 
 
 def dealias_mask(grid: Grid3) -> np.ndarray:
-    """2/3-rule mask: keep modes with max_j |xi_j| <= (2/3) xi_max."""
+    """2/3-rule mask: keep modes with max_j |xi_j| < (2/3) xi_max.
+
+    The inequality is strict, so the product of two kept modes never
+    aliases onto a kept mode, also when 3 divides n and (2/3) xi_max is
+    itself a mode.
+    """
     cutoff = (2.0 / 3.0) * (2 * np.pi / grid.length) * (grid.n / 2)
     tol = 1e-12 * cutoff
     return (
-        (np.abs(grid.kx) <= cutoff + tol)
-        & (np.abs(grid.ky) <= cutoff + tol)
-        & (np.abs(grid.kz) <= cutoff + tol)
+        (np.abs(grid.kx) < cutoff - tol)
+        & (np.abs(grid.ky) < cutoff - tol)
+        & (np.abs(grid.kz) < cutoff - tol)
     )
 
 
 def dealias(f: SpectralVectorField) -> SpectralVectorField:
     return replace(f, coeffs=f.coeffs * dealias_mask(f.grid))
+
+
+def check_solver_data(f: SpectralVectorField) -> None:
+    """Raise ValueError, naming the check, unless f is finite, mean-free,
+    solenoidal (divergence ratio <= DIV_TOL) and inside the 2/3 band.
+
+    Trajectories store the band only, so energy outside it would be dropped
+    without a word; up to 1e-24 of the total passes as roundoff.
+    """
+    c = f.coeffs
+    if not np.all(np.isfinite(c)):
+        raise ValueError("solver data: non-finite coefficients")
+    if np.abs(c[:, 0, 0, 0]).max() > 1e-12 * np.abs(c).max():
+        raise ValueError("solver data: nonzero mean")
+    ratio = f.max_divergence_ratio()
+    if ratio > DIV_TOL:
+        raise ValueError(f"solver data: divergence ratio {ratio:.3e} > DIV_TOL {DIV_TOL}")
+    g = f.grid
+    high = g.spectral_energy(c * ~dealias_mask(g))
+    if high > 1e-24 * g.spectral_energy(c):
+        raise ValueError(f"solver data: energy {high:.3e} outside the 2/3 band")
 
 
 # The products u_i v_k nonlinear_term transforms, each with the (i, k)
@@ -148,30 +187,30 @@ def _same_field(u: SpectralVectorField, v: SpectralVectorField) -> bool:
 def nonlinear_term(u: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorField:
     """P div (u (x) v), computed pseudo-spectrally with 2/3 dealiasing.
 
-    When u and v are the same field, u is transformed once and only the six
-    distinct products of the symmetric tensor are formed and transformed.
-    Each product is transformed to the z-frequencies the 2/3 rule keeps and
-    added into the divergence i xi_k (u_i v_k)^ in k order; the rule and the
-    Leray projection act on those frequencies, and the rest of the spectrum
-    is zero.  The values are those of ``leray_project(dealias(...))`` of the
-    full-spectrum divergence.
+    u and v may be half spectra or band blocks (``Grid3.band``); the result
+    has u's layout.  When u and v are the same field, u is transformed once
+    and only the six distinct products of the symmetric tensor are formed
+    and transformed.  Each product is transformed to the band's z-columns,
+    cut to the band, and added into the divergence i xi_k (u_i v_k)^ in k
+    order; the Leray projection acts on the band alone, and a half-spectrum
+    result is zero outside it.  The values are those of
+    ``leray_project(dealias(...))`` of the full-spectrum divergence.
     """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
+    band = g.band
     up = u.to_physical()
     if _same_field(u, v):
         vp, products = up, _SYMMETRIC_PRODUCTS
     else:
         vp, products = v.to_physical(), _ALL_PRODUCTS
-    mask = dealias_mask(g)
-    kept = int(np.count_nonzero(mask[0, 0]))  # z-frequencies 0 .. kept-1 survive
-    kvecs = (g.kx, g.ky, g.kz[..., :kept])
-    div = np.empty((3, g.n, g.n, kept), dtype=complex)
-    term = np.empty(div.shape[1:], dtype=complex)
+    kvecs = (band.kx, band.ky, band.kz)
+    div = np.empty((3,) + band.shape, dtype=complex)
+    term = np.empty(band.shape, dtype=complex)
     prod = np.empty(g.physical_shape)
     for (i, k), entries in products:
-        uv_hat = g.forward(np.multiply(up[i], vp[k], out=prod), kz_keep=kept)
+        uv_hat = band.gather(g.forward(np.multiply(up[i], vp[k], out=prod), kz_keep=band.kept))
         for row, col in entries:
             if col == 0:
                 np.multiply(kvecs[0], uv_hat, out=div[row])
@@ -179,11 +218,10 @@ def nonlinear_term(u: SpectralVectorField, v: SpectralVectorField) -> SpectralVe
                 div[row] += np.multiply(kvecs[col], uv_hat, out=term)
     del up, vp, prod, uv_hat, term  # free each intermediate once used
     div *= 1j
-    div *= mask[..., :kept]
-    out = np.empty((3,) + g.spectral_shape, dtype=complex)
-    out[..., kept:] = 0.0
-    _leray_apply(kvecs, g.k_sq[..., :kept], div, out=out[..., :kept])
-    return SpectralVectorField(g, out, is_solenoidal=True)
+    _leray_apply(kvecs, band.k_sq, div, out=div)
+    if u.coeffs.shape[-3:] != band.shape:
+        div = band.pad(div)
+    return SpectralVectorField(g, div, is_solenoidal=True)
 
 
 def mollified_nonlinear_term(
@@ -194,7 +232,7 @@ def mollified_nonlinear_term(
 
 
 def l2_inner(f: SpectralVectorField, h: SpectralVectorField) -> float:
-    """L^2 inner product sum_i <f_i, h_i> via the half spectrum."""
+    """L^2 inner product sum_i <f_i, h_i>, weighted as in ``Grid3.spectral_energy``."""
     g = f.grid
-    prod = (f.coeffs * np.conj(h.coeffs)).real * g.hermitian_weight
+    prod = (f.coeffs * np.conj(h.coeffs)).real * g.hermitian_weight[..., : f.coeffs.shape[-1]]
     return float(prod.sum()) * g.cell_volume / g.n**3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mildns.fields import (
     FourierMultiplier,
@@ -15,6 +17,7 @@ from mildns.fields import (
 )
 from mildns.grid import make_grid
 from mildns.kernels import mollifier_symbol
+from mildns.solver import ModelSpec
 
 
 def random_field(grid, seed, solenoidal=False):
@@ -64,15 +67,18 @@ def test_divergence_of_gradient_is_laplacian():
 
 
 def test_dealias_mask_symmetric():
+    # at n = 12 the cutoff (2/3) xi_max = 4 (2 pi / L) is itself a mode, and
+    # the rule drops it: 4 + 4 aliases onto -4
     g = make_grid(12, 1.0)
     mask = dealias_mask(g)
-    cutoff = (2.0 / 3.0) * np.abs(g.k_axis).max()
+    cutoff = (2.0 / 3.0) * np.abs(g.k_axis).max() * (1 - 1e-12)
     keep = (
-        (np.abs(g.kx) <= cutoff)
-        & (np.abs(g.ky) <= cutoff)
-        & (np.abs(g.kz) <= cutoff)
+        (np.abs(g.kx) < cutoff)
+        & (np.abs(g.ky) < cutoff)
+        & (np.abs(g.kz) < cutoff)
     )
     assert np.array_equal(mask, keep)
+    assert np.count_nonzero(mask[:, 0, 0]) == 7
 
 
 def test_round_trip_physical():
@@ -218,3 +224,77 @@ def test_l2_norm_matches_physical():
     phys = f.to_physical()
     direct = np.sqrt((phys**2).sum() * g.cell_volume)
     assert abs(f.l2_norm() - direct) < 1e-10 * direct
+
+
+# ---------------------------------------------------------------------------
+# Properties of the operators on band blocks
+
+
+def band_field(grid, seed):
+    """Random real, mean-free, solenoidal field stored as a band block."""
+    band = grid.band
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((3,) + band.shape) + 1j * rng.standard_normal((3,) + band.shape)
+    c = band.gather(grid.forward(grid.backward(c)))  # the block of a real field
+    f = leray_project(SpectralVectorField(grid, c))
+    f.coeffs[:, 0, 0, 0] = 0.0
+    return f
+
+
+band_grids = st.builds(
+    make_grid, st.sampled_from([8, 12, 16, 18]), st.floats(0.5, 50.0)
+)
+seeds = st.integers(0, 2**32 - 1)
+band_settings = settings(max_examples=25, deadline=None)
+
+
+@band_settings
+@given(band_grids, seeds)
+def test_band_leray_is_an_idempotent_projection_onto_solenoidal_fields(g, seed):
+    rng = np.random.default_rng(seed)
+    shape = (3,) + g.band.shape
+    f = SpectralVectorField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    once = leray_project(f)
+    twice = leray_project(once)
+    assert once.coeffs.shape == shape
+    assert np.abs(twice.coeffs - once.coeffs).max() <= 1e-13 * np.abs(once.coeffs).max()
+    assert once.max_divergence_ratio() <= 1e-12
+
+
+@band_settings
+@given(band_grids, seeds, st.sampled_from(["ns", "hyper"]))
+def test_band_nonlinear_term_conserves_energy(g, seed, kind):
+    # <N(u, u), u> = 0: transport by a solenoidal field moves no energy
+    model = ModelSpec(kind, g, ell=4.0)
+    u = band_field(g, seed)
+    n = model.nonlinear(u, u)
+    assert n.coeffs.shape == u.coeffs.shape
+    assert abs(l2_inner(n, u)) <= 1e-12 * n.l2_norm() * u.l2_norm()
+
+
+@band_settings
+@given(band_grids, seeds, st.floats(-3.0, 3.0))
+def test_band_nonlinear_term_is_bilinear(g, seed, a):
+    u, v, w = (band_field(g, seed + i) for i in range(3))
+
+    def field(c):
+        return SpectralVectorField(g, c)
+
+    for lhs, rhs in (
+        (nonlinear_term(field(a * u.coeffs + w.coeffs), v),
+         a * nonlinear_term(u, v).coeffs + nonlinear_term(w, v).coeffs),
+        (nonlinear_term(u, field(a * v.coeffs + w.coeffs)),
+         a * nonlinear_term(u, v).coeffs + nonlinear_term(u, w).coeffs),
+    ):
+        scale = max(np.abs(rhs).max(), np.abs(lhs.coeffs).max())
+        assert np.abs(lhs.coeffs - rhs).max() <= 1e-12 * scale
+
+
+def test_band_nonlinear_term_is_the_block_of_the_half_spectrum_one():
+    g = make_grid(16, 5.0)
+    u, v = band_field(g, 40), band_field(g, 41)
+    full_u, full_v = (SpectralVectorField(g, g.band.pad(f.coeffs)) for f in (u, v))
+    assert np.array_equal(g.band.pad(nonlinear_term(u, v).coeffs),
+                          nonlinear_term(full_u, full_v).coeffs)
+    assert np.array_equal(g.band.pad(nonlinear_term(u, u).coeffs),
+                          nonlinear_term(full_u, full_u).coeffs)

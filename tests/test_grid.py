@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mildns.fields import dealias_mask
 from mildns.grid import Grid3, make_grid, set_fft_workers
 
 
@@ -58,6 +59,33 @@ def test_forward_kz_keep_is_the_leading_columns_bit_for_bit(shape):
         part = g.forward(x, kz_keep=kept)
         assert part.shape == shape + (g.n, g.n, kept)
         assert np.array_equal(part.view(np.uint8), full[..., :kept].copy().view(np.uint8))
+
+
+@pytest.mark.parametrize("n", [8, 16, 18, 64])
+def test_band_is_the_dealias_mask(n):
+    g = make_grid(n, 3.0)
+    band = g.band
+    mask = dealias_mask(g)
+    assert np.array_equal(band.pad(np.ones(band.shape, dtype=bool)), mask)
+    assert band.rows[0] == 0 and band.gather(mask).all()
+    assert np.array_equal(band.k_sq, band.gather(g.k_sq))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("n", [16, 18])
+def test_backward_of_a_band_block_is_irfftn_of_the_padded_spectrum_bit_for_bit(shape, n):
+    g = make_grid(n, 3.0)
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal(shape + g.band.shape) + 1j * rng.standard_normal(
+        shape + g.band.shape
+    )
+    padded = g.band.pad(block)
+    got = g.backward(block)
+    assert got.shape == shape + g.physical_shape
+    assert np.array_equal(got.view(np.uint8), g.backward(padded).view(np.uint8))
+    assert abs(g.spectral_energy(block) - g.spectral_energy(padded)) <= (
+        1e-14 * g.spectral_energy(padded)
+    )
 
 
 def test_single_mode_transform():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mildns.fields import SpectralVectorField, dealias, leray_project
+from mildns.fields import SpectralVectorField, dealias, gradient, leray_project
 from mildns.grid import make_grid
 from mildns.solver import (
     BlowupError,
@@ -80,7 +80,7 @@ def test_model_spec_validation():
 def test_hyper_ell2_is_doubled_heat():
     g = make_grid(16, 3.0)
     m = ModelSpec("hyper", g, ell=2.0)
-    assert np.abs(m.propagator_values(0.7) - np.exp(-1.4 * g.k_sq)).max() < 1e-15
+    assert np.abs(m.propagator_values(0.7) - np.exp(-1.4 * g.band.k_sq)).max() < 1e-15
 
 
 def test_graded_times():
@@ -132,7 +132,7 @@ def test_linear_term_is_heat_flow_without_forcing():
     y = linear_forced_term(u0, ModelSpec("ns", g), times)
     for m, t in enumerate(times):
         expect = np.exp(-t * g.k_sq) * u0.coeffs
-        assert np.abs(y.coeffs[m] - expect).max() < 1e-14
+        assert np.abs(y.node(m).coeffs - expect).max() < 1e-14
 
 
 def test_picard_zero_data_returns_zero():
@@ -153,7 +153,7 @@ def test_shear_flow_is_exact_for_both_methods():
         traj = solve(model, u0, times, method=method)
         for m, t in enumerate(times):
             expect = np.exp(-t) * u0.coeffs
-            err = np.abs(traj.coeffs[m] - expect).max()
+            err = np.abs(traj.node(m).coeffs - expect).max()
             assert err < 1e-12 * np.abs(u0.coeffs).max()
 
 
@@ -211,9 +211,71 @@ def test_picard_fails_fast_on_nan_data(monkeypatch):
     u0 = taylor_green(g, 0.2)
     u0.coeffs[0, 1, 2, 3] = np.nan
     calls = count_nonlinear(monkeypatch)
-    with pytest.raises(PicardDivergenceError, match=r"node 1 at t = .*non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         solve(ModelSpec("ns", g), u0, graded_times(2.0, 16))
-    assert len(calls) == 2  # node 0, then one iteration at node 1
+    assert len(calls) == 0
+
+
+def test_picard_fails_fast_on_a_non_finite_residual(monkeypatch):
+    g = make_grid(16, 2 * np.pi)
+    u0 = taylor_green(g, 0.2)
+    calls = []
+    original = ModelSpec.nonlinear
+
+    def nan_from_node_2(self, u, v):
+        calls.append(1)
+        n = original(self, u, v)
+        if len(calls) >= 5:  # node 0 and the 3 iterations of node 1 stay finite
+            n.coeffs[0, 1, 2, 3] = np.nan
+        return n
+
+    monkeypatch.setattr(ModelSpec, "nonlinear", nan_from_node_2)
+    with pytest.raises(PicardDivergenceError, match=r"node 2 at t = .*non-finite"):
+        solve(ModelSpec("ns", g), u0, graded_times(2.0, 16))
+    assert len(calls) == 5  # the first iteration at node 2 stops the solve
+
+
+def _with_nan(f):
+    f.coeffs[0, 1, 2, 3] = np.nan
+
+
+def _with_mean(f):
+    f.coeffs[0, 0, 0, 0] = 1e-3 * np.abs(f.coeffs).max()
+
+
+def _with_divergence(f):
+    g = f.grid
+    f.coeffs += 1e-3 * dealias(gradient(g, np.exp(-g.k_sq))).coeffs
+
+
+def _outside_the_band(f):
+    g = f.grid
+    rng = np.random.default_rng(5)
+    high = leray_project(
+        SpectralVectorField.from_physical(g, rng.standard_normal((3,) + g.physical_shape))
+    )
+    high.coeffs[:, 0, 0, 0] = 0.0
+    f.coeffs += 1e-6 * high.coeffs  # solenoidal and mean-free, but not dealiased
+
+
+@pytest.mark.parametrize("method", ["picard", "etd"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_with_nan, "non-finite coefficients"),
+        (_with_mean, "nonzero mean"),
+        (_with_divergence, "divergence ratio"),
+        (_outside_the_band, "outside the 2/3 band"),
+    ],
+)
+def test_solve_rejects_data_it_cannot_hold(corrupt, message, method, monkeypatch):
+    g = make_grid(16, 2 * np.pi)
+    u0 = taylor_green(g, 0.2)
+    corrupt(u0)
+    calls = count_nonlinear(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        solve(ModelSpec("ns", g), u0, graded_times(1.0, 4), method=method)
+    assert len(calls) == 0
 
 
 def test_picard_iteration_cap_per_node():
@@ -249,7 +311,7 @@ def test_hyper_damps_high_modes_more():
     a = solve(ModelSpec("ns", g), u0, times)
     b = solve(ModelSpec("hyper", g, ell=4.0), u0, times)
     cutoff_sq = ((g.n / 4) * (2 * np.pi / g.length)) ** 2
-    hi = g.k_sq > cutoff_sq
+    hi = g.band.k_sq > cutoff_sq
     for m in range(1, len(times)):
         e_ns = ((np.abs(a.coeffs[m]) ** 2)[:, hi] * g.hermitian_weight[0, 0, 0]).sum()
         e_hy = (np.abs(b.coeffs[m]) ** 2)[:, hi].sum()
@@ -271,6 +333,19 @@ def test_etd_blowup_guard():
     u0 = random_field(g, 1e3, 0)
     with pytest.raises(BlowupError):
         etd_march(u0, ModelSpec("ns", g), np.linspace(0.0, 1.0, 5))
+
+
+def test_solves_record_the_band_storage():
+    g = make_grid(64, 40.0)
+    times = np.linspace(0.0, 1.0, 4)
+    full_bytes = len(times) * 3 * np.prod(g.spectral_shape) * np.dtype(complex).itemsize
+    traj = picard_solve(TimeGridSolution.zeros(g, times), ModelSpec("ns", g))
+    assert traj.meta["band_shape"] == g.band.shape == (43, 43, 22)
+    assert traj.meta["trajectory_bytes"] == traj.coeffs.nbytes <= 0.31 * full_bytes
+    g = make_grid(16, 2 * np.pi)
+    traj = etd_march(taylor_green(g, 0.2), ModelSpec("ns", g), times)
+    assert traj.meta["band_shape"] == g.band.shape
+    assert traj.meta["trajectory_bytes"] == traj.coeffs.nbytes
 
 
 def test_solve_rejects_unknown_method():
