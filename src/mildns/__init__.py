@@ -1,29 +1,4 @@
 """Pseudo-spectral laboratory for mild Navier-Stokes solutions and their
 Leray (mollified) and Lions (hyperviscous) regularizations."""
 
-from .grid import Grid3, make_grid
-from .fields import (
-    FourierMultiplier,
-    SpectralVectorField,
-    dealias,
-    divergence,
-    gradient,
-    leray_project,
-    mollified_nonlinear_term,
-    nonlinear_term,
-)
-
-__all__ = [
-    "Grid3",
-    "make_grid",
-    "FourierMultiplier",
-    "SpectralVectorField",
-    "dealias",
-    "divergence",
-    "gradient",
-    "leray_project",
-    "mollified_nonlinear_term",
-    "nonlinear_term",
-]
-
 __version__ = "0.1.0"

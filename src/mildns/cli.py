@@ -52,14 +52,12 @@ DEFAULTS = {
         "bump_amplitude": 0.05, "bump_sigma": 1.5,
         "t_min": 0.05, "T": 25.0, "M": 36,
         "window_lo": 0.25, "window_hi": 16.0, "drop_per_decade": 4.0,
-        "seed": 0,
     },
     "mollified": {
         "n": 64, "L": 40.0, "amplitude": 0.5, "delta_cells": 2.0,
         "kappa_cells": 2.0, "kappa_cells_2": 4.0, "p": 4.0, "p2": 6.0,
         "t_min": 0.05, "T": 25.0, "M": 36,
         "window_lo": 0.6, "window_hi": 21.0, "drop_per_decade": 2.0,
-        "seed": 0,
     },
     "hyper": {
         "n": 64, "L": 40.0, "amplitude": 0.5, "delta_cells": 2.0,
@@ -75,7 +73,6 @@ DEFAULTS = {
         "gap_ells": "2,3,4", "gap_t_min": 1.0, "gap_t_max": 64.0,
         "gap_points": 7, "gap_n": 256, "gap_L": 64.0,
         "slope_tol": 0.05, "flat_tol": 0.01,
-        "seed": 0,
     },
     "landau": {
         "c_values": "-3,-1.5,1.5,2,5", "n_samples": 100, "h": 1e-3,
@@ -116,6 +113,18 @@ def load_config(path: str | None, section: str) -> dict:
 def config_hash(section: str, cfg: dict) -> str:
     canon = section + "".join(f";{k}={cfg[k]!r}" for k in sorted(cfg))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _write_table(path: str, header: str, rows, tag: str):
+    """CSV table: the header, one line per row, then the config tag.
+
+    String cells are written as they are and numbers as repr(float(x)).
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else repr(float(c)) for c in row) + "\n")
+        fh.write(f"# config={tag}\n")
 
 
 def _desk_setup(cfg):
@@ -253,12 +262,10 @@ def exp_kernels(cfg: dict, outdir: str, tag: str):
         else:
             criteria.append(Criterion(
                 f"C_{ell:g} > 1.001", res.value > 1.001, f"value {res.value:.6f}"))
-    with open(os.path.join(outdir, "cl_table.csv"), "w") as fh:
-        fh.write("ell,value,error_estimate,tail_bound,signed_mass\n")
-        for r in cl_rows:
-            fh.write(f"{float(r.ell)!r},{float(r.value)!r},{float(r.error_estimate)!r},"
-                     f"{float(r.tail_bound)!r},{float(r.signed_mass)!r}\n")
-        fh.write(f"# config={tag}\n")
+    _write_table(
+        os.path.join(outdir, "cl_table.csv"), "ell,value,error_estimate,tail_bound,signed_mass",
+        [(r.ell, r.value, r.error_estimate, r.tail_bound, r.signed_mass) for r in cl_rows], tag,
+    )
 
     gg = make_grid(int(cfg["gap_n"]), cfg["gap_L"])
     gap_ts = np.geomspace(cfg["gap_t_min"], cfg["gap_t_max"], int(cfg["gap_points"]))
@@ -281,11 +288,7 @@ def exp_kernels(cfg: dict, outdir: str, tag: str):
                 f"gap slope {target:.4g} +/- {cfg['slope_tol']:g} for ell={ell:g}",
                 abs(sf.slope - target) <= cfg["slope_tol"],
                 f"fitted {sf.slope:.3f} +/- {sf.stderr:.3f}"))
-    with open(os.path.join(outdir, "gap.csv"), "w") as fh:
-        fh.write("ell,t,gap\n")
-        for ell, t, v in rows:
-            fh.write(f"{float(ell)!r},{float(t)!r},{float(v)!r}\n")
-        fh.write(f"# config={tag}\n")
+    _write_table(os.path.join(outdir, "gap.csv"), "ell,t,gap", rows, tag)
     return criteria, {
         "window_used": [cfg["gap_t_min"], cfg["gap_t_max"]],
         "guards_triggered": guards,
@@ -305,11 +308,7 @@ def exp_landau(cfg: dict, outdir: str, tag: str):
             f"divergence <= {cfg['div_tol']:g}",
             res <= cfg["residual_tol"] and div <= cfg["div_tol"],
             f"residual {res:.2e}, divergence {div:.2e}"))
-    with open(os.path.join(outdir, "landau.csv"), "w") as fh:
-        fh.write("c,max_residual,max_divergence\n")
-        for c, res, div in rows:
-            fh.write(f"{float(c)!r},{float(res)!r},{float(div)!r}\n")
-        fh.write(f"# config={tag}\n")
+    _write_table(os.path.join(outdir, "landau.csv"), "c,max_residual,max_divergence", rows, tag)
     return criteria, {"stencil_h": cfg["h"]}
 
 
@@ -357,14 +356,10 @@ def exp_norms(cfg: dict, outdir: str, tag: str):
         "random-set averages never exceed the sorted weak norm",
         worst_set <= sorted_norm * (1.0 + 1e-12),
         f"best random set {worst_set:.6f} vs norm {sorted_norm:.6f}"))
-    with open(os.path.join(outdir, "norms.csv"), "w") as fh:
-        fh.write("check,value\n")
-        fh.write(f"embedding_worst_ratio,{float(worst_embed)!r}\n")
-        for (p, q, r), ratio in worst_holder.items():
-            fh.write(f"holder_{p:g}_{q:g}_{r:g}_worst_ratio,{float(ratio)!r}\n")
-        fh.write(f"random_set_best,{float(worst_set)!r}\n")
-        fh.write(f"sorted_weak_norm,{float(sorted_norm)!r}\n")
-        fh.write(f"# config={tag}\n")
+    rows = [("embedding_worst_ratio", worst_embed)]
+    rows += [(f"holder_{p:g}_{q:g}_{r:g}_worst_ratio", x) for (p, q, r), x in worst_holder.items()]
+    rows += [("random_set_best", worst_set), ("sorted_weak_norm", sorted_norm)]
+    _write_table(os.path.join(outdir, "norms.csv"), "check,value", rows, tag)
     return criteria, {"n_fields": n_fields, "n_sets": int(cfg["n_sets"])}
 
 
@@ -389,7 +384,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+        if "seed" in DEFAULTS[SECTION[name]]:
+            p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--threads", type=int, default=None, help="FFT worker cap")
     args = parser.parse_args(argv)
 
@@ -397,7 +393,7 @@ def main(argv=None) -> int:
         set_fft_workers(args.threads)
     section = SECTION[args.command]
     cfg = load_config(args.config, section)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg["seed"] = int(args.seed)
     outdir = args.out or f"mildns_{args.command.replace('-', '_')}"
     os.makedirs(outdir, exist_ok=True)

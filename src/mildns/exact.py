@@ -3,7 +3,6 @@ data, and the parabolic rescaling operator."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np

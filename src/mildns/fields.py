@@ -2,34 +2,22 @@
 
 Coefficients come in two layouts, told apart by shape: the rfft half
 spectrum, and the block of it that the 2/3 rule keeps (``Grid3.band``),
-which solver trajectories are stored in.  Leray projection, divergence,
-the inner product and the two nonlinear terms (plain and mollified) take
-either layout and return the one they were given; gradient and 2/3-rule
-dealiasing act on the half spectrum.  ``check_solver_data`` rejects data
-the band would not hold.
+which solver trajectories are stored in.  Leray projection, divergence
+and the two nonlinear terms (plain and mollified) take either layout and
+return the one they were given; gradient and 2/3-rule dealiasing act on
+the half spectrum.  ``check_solver_data`` rejects data the band would not
+hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import Grid3
 
 DIV_TOL = 1e-10  # per-mode relative solenoidality tolerance
-
-
-@dataclass
-class FourierMultiplier:
-    """Diagonal operator in Fourier space: (M f)^(xi) = m(xi) f^(xi)."""
-
-    grid: Grid3
-    values: np.ndarray  # broadcastable against the spectral shape
-    label: str = ""
-
-    def apply(self, f: "SpectralVectorField") -> "SpectralVectorField":
-        return replace(f, coeffs=f.coeffs * self.values)
 
 
 @dataclass
@@ -48,10 +36,6 @@ class SpectralVectorField:
                 f"got {samples.shape}"
             )
         return cls(grid, grid.forward(samples))
-
-    @classmethod
-    def zero(cls, grid: Grid3) -> "SpectralVectorField":
-        return cls(grid, np.zeros((3,) + grid.spectral_shape, dtype=complex), True)
 
     def to_physical(self) -> np.ndarray:
         return self.grid.backward(self.coeffs)
@@ -126,19 +110,8 @@ def _leray_apply(kvecs, k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.nd
 
 
 def dealias_mask(grid: Grid3) -> np.ndarray:
-    """2/3-rule mask: keep modes with max_j |xi_j| < (2/3) xi_max.
-
-    The inequality is strict, so the product of two kept modes never
-    aliases onto a kept mode, also when 3 divides n and (2/3) xi_max is
-    itself a mode.
-    """
-    cutoff = (2.0 / 3.0) * (2 * np.pi / grid.length) * (grid.n / 2)
-    tol = 1e-12 * cutoff
-    return (
-        (np.abs(grid.kx) < cutoff - tol)
-        & (np.abs(grid.ky) < cutoff - tol)
-        & (np.abs(grid.kz) < cutoff - tol)
-    )
+    """2/3-rule mask on the half spectrum: True exactly on ``grid.band``."""
+    return grid.band.pad(np.ones(grid.band.shape, dtype=bool))
 
 
 def dealias(f: SpectralVectorField) -> SpectralVectorField:
@@ -225,14 +198,11 @@ def nonlinear_term(u: SpectralVectorField, v: SpectralVectorField) -> SpectralVe
 
 
 def mollified_nonlinear_term(
-    u: SpectralVectorField, v: SpectralVectorField, mollifier: FourierMultiplier
+    u: SpectralVectorField, v: SpectralVectorField, symbol: np.ndarray
 ) -> SpectralVectorField:
-    """P div ((u * omega_kappa) (x) v): u is smoothed before the product."""
-    return nonlinear_term(mollifier.apply(u), v)
+    """P div ((u * omega_kappa) (x) v): u's coefficients times the mollifier symbol.
 
+    ``symbol`` has u's layout (``kernels.mollifier_symbol``, or its band block).
+    """
+    return nonlinear_term(replace(u, coeffs=u.coeffs * symbol), v)
 
-def l2_inner(f: SpectralVectorField, h: SpectralVectorField) -> float:
-    """L^2 inner product sum_i <f_i, h_i>, weighted as in ``Grid3.spectral_energy``."""
-    g = f.grid
-    prod = (f.coeffs * np.conj(h.coeffs)).real * g.hermitian_weight[..., : f.coeffs.shape[-1]]
-    return float(prod.sum()) * g.cell_volume / g.n**3

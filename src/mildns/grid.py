@@ -63,13 +63,9 @@ class Grid3:
         w[-1] = 1.0
         self.hermitian_weight = w.reshape(1, 1, -1)
 
-    @property
-    def axis_coords(self) -> np.ndarray:
-        return np.arange(self.n) * self.dx
-
     def meshgrid(self):
         """Physical coordinates (x, y, z), each of shape (n, n, n)."""
-        x = self.axis_coords
+        x = np.arange(self.n) * self.dx
         return np.meshgrid(x, x, x, indexing="ij")
 
     def forward(self, samples: np.ndarray, kz_keep: int | None = None) -> np.ndarray:
@@ -149,7 +145,9 @@ class Band:
     """The modes the 2/3 rule keeps, as one block of the rfft layout.
 
     The rule keeps max_j |xi_j| < (2/3) xi_max, a product of per-axis
-    conditions, so the kept modes are the x indices ``rows``, the same y
+    conditions.  The inequality is strict, so the product of two kept modes
+    never aliases onto a kept mode, also when 3 divides n and (2/3) xi_max
+    is itself a mode.  The kept modes are the x indices ``rows``, the same y
     indices, and the z-columns 0 .. kept-1.  ``rows`` lists nonnegative
     frequencies first, as the DFT order does, so the block's first mode is
     xi = 0.  A band block has shape (..., len(rows), len(rows), kept): 43 x

@@ -1,4 +1,4 @@
-"""Semigroup multipliers and real-space dissipation kernels.
+"""Real-space dissipation kernels, the L^1 semigroup gap and the mollifier.
 
 The kernel of exp(-t (-Laplace)^{l/2}) in 3D reduces to a radial
 oscillatory integral
@@ -21,7 +21,6 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from .fields import FourierMultiplier
 from .grid import Grid3
 
 
@@ -31,41 +30,6 @@ class QuadratureError(RuntimeError):
 
 class ContainmentError(ValueError):
     """Raised when a kernel is unresolved or does not fit the box."""
-
-
-# ---------------------------------------------------------------------------
-# Fourier multipliers
-
-
-def _check_time(t: float):
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got t={t}")
-
-
-def heat_multiplier(grid: Grid3, t: float) -> FourierMultiplier:
-    """exp(-t |xi|^2); identity at t = 0."""
-    _check_time(t)
-    return FourierMultiplier(grid, np.exp(-t * grid.k_sq), f"heat(t={t})")
-
-
-def hyper_multiplier(grid: Grid3, t: float, ell: float) -> FourierMultiplier:
-    """exp(-t |xi|^l)."""
-    _check_time(t)
-    if ell <= 0:
-        raise ValueError(f"dissipation order must be positive, got ell={ell}")
-    kmag_l = grid.k_sq ** (ell / 2.0)
-    return FourierMultiplier(grid, np.exp(-t * kmag_l), f"hyper(t={t},ell={ell})")
-
-
-def combined_multiplier(grid: Grid3, t: float, ell: float) -> FourierMultiplier:
-    """exp(-t (|xi|^2 + |xi|^l)): the S_l(t) S(t) propagator."""
-    _check_time(t)
-    if ell <= 0:
-        raise ValueError(f"dissipation order must be positive, got ell={ell}")
-    kmag_l = grid.k_sq ** (ell / 2.0)
-    return FourierMultiplier(
-        grid, np.exp(-t * (grid.k_sq + kmag_l)), f"combined(t={t},ell={ell})"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +67,6 @@ def kernel_realspace(ell: float, r: float) -> float:
             f"error estimate {err:.3e}"
         )
     return val / (2.0 * math.pi**2 * r)
-
-
-def kernel_realspace_t(ell: float, r: float, t: float) -> float:
-    """p_l(r, t) via the self-similar form t^(-3/l) p_l(r t^(-1/l), 1)."""
-    if t <= 0:
-        raise ValueError(f"kernel time must be positive, got t={t}")
-    s = t ** (1.0 / ell)
-    return kernel_realspace(ell, r / s) / t ** (3.0 / ell)
 
 
 @lru_cache(maxsize=32)
@@ -279,21 +235,15 @@ def _bump_rule(n_nodes: int = 400):
     return r, w, profile
 
 
-def bump_normalization() -> float:
-    """c with  c * 4 pi int_0^1 exp(-1/(1-r^2)) r^2 dr = 1."""
-    r, w, profile = _bump_rule()
-    return 1.0 / (4.0 * math.pi * float((w * profile * r**2).sum()))
-
-
 def bump_symbol(k: np.ndarray) -> np.ndarray:
     """omega^(k), the radial Fourier transform of the unit-width bump."""
     k = np.asarray(k, dtype=float)
     r, w, profile = _bump_rule()
-    c = bump_normalization()
+    moment2 = float((w * profile * r**2).sum())
+    c = 1.0 / (4.0 * math.pi * moment2)  # c 4 pi int_0^1 exp(-1/(1-r^2)) r^2 dr = 1
     flat = k.ravel()
     out = np.empty_like(flat)
     small = np.abs(flat) < 1e-8
-    moment2 = float((w * profile * r**2).sum())
     out[small] = 4.0 * math.pi * c * moment2  # == 1 by normalization
     kb = flat[~small]
     vals = np.empty_like(kb)
@@ -306,22 +256,11 @@ def bump_symbol(k: np.ndarray) -> np.ndarray:
     return out.reshape(k.shape)
 
 
-@dataclass
-class MollifierSpec:
-    """Grid-sampled symbol of omega_kappa, with omega_kappa^(0) = 1."""
+def mollifier_symbol(grid: Grid3, kappa: float) -> np.ndarray:
+    """omega_kappa^(xi) = omega^(kappa xi) of the bump on the half spectrum.
 
-    grid: Grid3
-    kappa: float
-    values: np.ndarray
-
-    def multiplier(self) -> FourierMultiplier:
-        return FourierMultiplier(
-            self.grid, self.values, f"mollifier(kappa={self.kappa})"
-        )
-
-
-def mollifier_symbol(grid: Grid3, kappa: float) -> MollifierSpec:
-    """Sample omega_kappa^(xi) = omega^(kappa xi) of the bump on the grid."""
+    The symbol is real with omega_kappa^(0) = 1; kappa = 0 gives ones.
+    """
     if kappa < 0:
         raise ValueError(f"mollifier width must be nonnegative, got kappa={kappa}")
     if kappa > grid.length / 2.0:
@@ -329,12 +268,10 @@ def mollifier_symbol(grid: Grid3, kappa: float) -> MollifierSpec:
             f"mollifier support radius {kappa} exceeds half box {grid.length / 2}"
         )
     if kappa == 0.0:
-        values = np.ones(grid.spectral_shape)
-    else:
-        kmag = np.sqrt(grid.k_sq)
-        smax = float(kappa * kmag.max())
-        table_s = np.linspace(0.0, smax, 4096)
-        table_v = bump_symbol(table_s)
-        table_v /= table_v[0]  # enforce unit mass exactly
-        values = np.interp(kappa * kmag, table_s, table_v)
-    return MollifierSpec(grid, kappa, values)
+        return np.ones(grid.spectral_shape)
+    kmag = np.sqrt(grid.k_sq)
+    smax = float(kappa * kmag.max())
+    table_s = np.linspace(0.0, smax, 4096)
+    table_v = bump_symbol(table_s)
+    table_v /= table_v[0]  # enforce unit mass exactly
+    return np.interp(kappa * kmag, table_s, table_v)

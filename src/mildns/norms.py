@@ -1,4 +1,4 @@
-"""Discrete norm functionals: L^p, weak-L^p, heat-extension norms, decay curves.
+"""Discrete norm functionals: L^p and weak-L^p norms, decay curves and slope fits.
 
 The weak (Marcinkiewicz) norm is the set-average form
 sup_E |E|^(-1/q) int_E |f|, computed exactly on the grid measure by
@@ -16,75 +16,33 @@ import numpy as np
 from .fields import SpectralVectorField
 
 
-def _magnitude(f: np.ndarray, vector_mode: str) -> np.ndarray:
-    """Reduce a (3, n, n, n) vector field to a scalar magnitude field."""
+def _magnitude(f: np.ndarray) -> np.ndarray:
+    """Euclidean magnitude of a (3, n, n, n) vector field; |f| of a scalar one."""
     if f.ndim == 4 and f.shape[0] == 3:
-        if vector_mode == "euclidean":
-            return np.sqrt(np.sum(f * f, axis=0))
-        if vector_mode == "max":
-            return f  # handled per component by the caller
-        raise ValueError(f"unknown vector mode {vector_mode!r}")
+        return np.sqrt(np.sum(f * f, axis=0))
     return np.abs(f)
 
 
-def lp_norm(
-    f: np.ndarray, p: float, cell_volume: float, vector_mode: str = "euclidean"
-) -> float:
+def lp_norm(f: np.ndarray, p: float, cell_volume: float) -> float:
     """(sum |f|^p cell_volume)^(1/p); max norm for p = inf."""
     if p < 1:
         raise ValueError(f"L^p norm needs p >= 1, got p={p}")
-    if f.ndim == 4 and f.shape[0] == 3 and vector_mode == "max":
-        return max(lp_norm(c, p, cell_volume) for c in f)
-    mag = _magnitude(f, vector_mode)
+    mag = _magnitude(f)
     if math.isinf(p):
-        return float(np.abs(mag).max())
-    return float((np.abs(mag) ** p).sum() * cell_volume) ** (1.0 / p)
+        return float(mag.max())
+    return float((mag**p).sum() * cell_volume) ** (1.0 / p)
 
 
-def weak_lp_norm(
-    f: np.ndarray, p: float, cell_volume: float, vector_mode: str = "euclidean"
-) -> float:
+def weak_lp_norm(f: np.ndarray, p: float, cell_volume: float) -> float:
     """Set-average weak norm sup_E |E|^(-1/q) int_E |f|, 1/p + 1/q = 1."""
     if not (1 < p < math.inf):
         raise ValueError(f"weak L^p norm needs 1 < p < inf, got p={p}")
-    if f.ndim == 4 and f.shape[0] == 3 and vector_mode == "max":
-        return max(weak_lp_norm(c, p, cell_volume) for c in f)
-    mag = np.abs(_magnitude(f, vector_mode)).ravel()
+    mag = _magnitude(f).ravel()
     mag = np.sort(mag)[::-1]
     q = p / (p - 1.0)
     csum = np.cumsum(mag) * cell_volume
     sizes = np.arange(1, mag.size + 1) * cell_volume
     return float((csum / sizes ** (1.0 / q)).max())
-
-
-@dataclass
-class BesovHeatResult:
-    value: float
-    t_max: float
-    interior: bool  # False when the sup sits on the boundary of the t grid
-
-
-def besov_heat_norm(
-    f: SpectralVectorField,
-    alpha: float,
-    p: float,
-    t_grid: np.ndarray,
-    vector_mode: str = "euclidean",
-) -> BesovHeatResult:
-    """sup over the t grid of t^(alpha/2) ||S(t) f||_p."""
-    if alpha < 0:
-        raise ValueError(f"heat-extension norm needs alpha >= 0, got {alpha}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("empty t grid")
-    g = f.grid
-    vals = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        smoothed = g.backward(f.coeffs * np.exp(-t * g.k_sq))
-        vals[i] = t ** (alpha / 2.0) * lp_norm(smoothed, p, g.cell_volume, vector_mode)
-    imax = int(np.argmax(vals))
-    interior = 0 < imax < t_grid.size - 1
-    return BesovHeatResult(float(vals[imax]), float(t_grid[imax]), interior)
 
 
 @dataclass
@@ -157,28 +115,27 @@ def decay_functional(
     fields,
     p: float,
     kind: str = "lp",
-    vector_mode: str = "euclidean",
     functional: str = "",
 ) -> DecayCurve:
     """Curve of t^((1-3/p)/2) * norm(u(t)) over the positive time nodes.
 
-    ``fields`` holds one SpectralVectorField (or a physical (3,n,n,n)
-    array paired with a grid via the field object) per time node.
+    ``fields`` holds one SpectralVectorField per time node; ``kind`` is
+    "lp" or "weak", and vector fields are measured by their Euclidean
+    magnitude.
     """
     times = np.asarray(times, dtype=float)
     ts, vals = [], []
     for t, f in zip(times, fields):
         if t <= 0:
             continue
-        if isinstance(f, SpectralVectorField):
-            phys = f.to_physical()
-            vol = f.grid.cell_volume
-        else:
+        if not isinstance(f, SpectralVectorField):
             raise TypeError("decay_functional expects SpectralVectorField nodes")
+        phys = f.to_physical()
+        vol = f.grid.cell_volume
         if kind == "lp":
-            nv = lp_norm(phys, p, vol, vector_mode)
+            nv = lp_norm(phys, p, vol)
         elif kind == "weak":
-            nv = weak_lp_norm(phys, p, vol, vector_mode)
+            nv = weak_lp_norm(phys, p, vol)
         else:
             raise ValueError(f"unknown norm kind {kind!r}")
         ts.append(t)

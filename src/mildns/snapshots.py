@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .fields import SpectralVectorField
-from .grid import Grid3, make_grid
+from .grid import make_grid
 
 
 def save_field(path, f: SpectralVectorField, t: float = 0.0):

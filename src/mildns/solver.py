@@ -17,7 +17,7 @@ of 253 MB for 39 nodes at 64^3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,15 +75,11 @@ class ModelSpec:
             return k_sq + k_sq ** (self.ell / 2.0)
         return k_sq
 
-    def propagator_values(self, t: float) -> np.ndarray:
-        return np.exp(-t * self.dissipation_exponent())
-
     def nonlinear(self, u: SpectralVectorField, v: SpectralVectorField):
         """The spatial integrand P div (u~ (x) v) for this model."""
         if self.kind == "mollified" and self.kappa > 0:
-            if self._mollifier is None:
-                m = mollifier_symbol(self.grid, self.kappa).multiplier()
-                self._mollifier = replace(m, values=self.grid.band.gather(m.values))
+            if self._mollifier is None:  # the symbol's band block, built on first use
+                self._mollifier = self.grid.band.gather(mollifier_symbol(self.grid, self.kappa))
             return mollified_nonlinear_term(u, v, self._mollifier)
         return nonlinear_term(u, v)
 
@@ -133,6 +129,21 @@ class TimeGridSolution:
 
     def max_l2(self) -> float:
         return max(self.node_l2(m) for m in range(len(self.times)))
+
+
+def _check_times(times) -> np.ndarray:
+    """times as a float array; ValueError naming the check unless they are
+    1-D, finite, start at 0.0 and strictly increase."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"time grid: not 1-D (shape {times.shape})")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time grid: non-finite times")
+    if times.size == 0 or times[0] != 0.0:
+        raise ValueError("time grid: does not start at 0.0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time grid: not strictly increasing")
+    return times
 
 
 def _check_same_grid(u: TimeGridSolution, v: TimeGridSolution):
@@ -197,10 +208,11 @@ def linear_forced_term(
 ) -> TimeGridSolution:
     """y(t_m) = propagator(t_m) u0, the linear part of the mild solution.
 
-    Raises ValueError when u0 fails ``check_solver_data``.
+    Raises ValueError when u0 fails ``check_solver_data`` or times fail
+    ``_check_times``.
     """
     check_solver_data(u0)
-    times = np.asarray(times, dtype=float)
+    times = _check_times(times)
     mu = model.dissipation_exponent()
     out = TimeGridSolution.zeros(u0.grid, times)
     out.coeffs[0] = u0.grid.band.gather(u0.coeffs)
@@ -285,10 +297,11 @@ def etd_march(
     """Second-order exponential time differencing (ETD2RK) marcher.
 
     Exact for the linear part; aborts if ||u||_inf grows tenfold.  Raises
-    ValueError when u0 fails ``check_solver_data``.
+    ValueError when u0 fails ``check_solver_data`` or times fail
+    ``_check_times``.
     """
     check_solver_data(u0)
-    times = np.asarray(times, dtype=float)
+    times = _check_times(times)
     g = u0.grid
     mu = model.dissipation_exponent()
     out = TimeGridSolution.zeros(g, times)

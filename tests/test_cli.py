@@ -79,6 +79,14 @@ def test_seed_changes_samples_not_pass(tmp_path):
     assert (out1 / "landau.csv").read_bytes() != (out2 / "landau.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["stability", "mollified", "kernels"])
+def test_seed_flag_only_where_the_section_has_a_seed(command):
+    # these experiments draw no random numbers, so --seed is not an option
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 SMALL_INI = "n = 16\nL = 10.0\nM = 8\n"
 
 

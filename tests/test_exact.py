@@ -9,7 +9,7 @@ from mildns.exact import (
     landau_shell_samples,
     rescale,
 )
-from mildns.fields import SpectralVectorField, dealias, leray_project
+from mildns.fields import SpectralVectorField
 from mildns.grid import make_grid
 from mildns.norms import lp_norm
 

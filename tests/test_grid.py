@@ -63,11 +63,13 @@ def test_forward_kz_keep_is_the_leading_columns_bit_for_bit(shape):
 
 @pytest.mark.parametrize("n", [8, 16, 18, 64])
 def test_band_is_the_dealias_mask(n):
+    # the strict 2/3 rule written out per axis: max_j |xi_j| < (2/3) xi_max
     g = make_grid(n, 3.0)
     band = g.band
-    mask = dealias_mask(g)
-    assert np.array_equal(band.pad(np.ones(band.shape, dtype=bool)), mask)
-    assert band.rows[0] == 0 and band.gather(mask).all()
+    cutoff = (2.0 / 3.0) * (2 * np.pi / g.length) * (n / 2) * (1 - 1e-12)
+    rule = (np.abs(g.kx) < cutoff) & (np.abs(g.ky) < cutoff) & (np.abs(g.kz) < cutoff)
+    assert np.array_equal(dealias_mask(g), rule)
+    assert band.rows[0] == 0 and band.gather(rule).all()
     assert np.array_equal(band.k_sq, band.gather(g.k_sq))
 
 

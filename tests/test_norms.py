@@ -6,9 +6,7 @@ import pytest
 from mildns.fields import SpectralVectorField
 from mildns.grid import make_grid
 from mildns.norms import (
-    BesovHeatResult,
     DecayCurve,
-    besov_heat_norm,
     decay_exponent,
     decay_functional,
     fit_slope,
@@ -129,43 +127,6 @@ def test_interpolation_between_weak_norms():
             n3**3 * lam ** (q - 3) / (q - 3) + np_**p * lam ** (q - p) / (p - q)
         )
         assert lp_norm(f, q, VOL) ** q <= bound * (1 + 1e-9)
-
-
-def test_vector_mode_max_vs_euclidean():
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal((3, N, N, N))
-    assert lp_norm(f, 3.0, VOL, "max") <= lp_norm(f, 3.0, VOL, "euclidean")
-    with pytest.raises(ValueError):
-        lp_norm(f, 3.0, VOL, "bogus")
-
-
-def test_besov_heat_single_mode_closed_form():
-    # sup_t t^(a/2) e^(-t k^2) ||f||_p = (a / (2 e k^2))^(a/2) ||f||_p
-    g = make_grid(16, 2 * np.pi)
-    X, _, _ = g.meshgrid()
-    f = SpectralVectorField.from_physical(
-        g, np.stack([np.cos(3 * X), np.zeros_like(X), np.zeros_like(X)])
-    )
-    alpha, p, k2 = 1.0, 4.0, 9.0
-    t_star = alpha / (2 * k2)
-    t_grid = np.geomspace(t_star / 10, t_star * 10, 400)
-    res = besov_heat_norm(f, alpha, p, t_grid)
-    exact = (alpha / (2 * math.e * k2)) ** (alpha / 2) * lp_norm(
-        f.to_physical(), p, g.cell_volume
-    )
-    assert isinstance(res, BesovHeatResult)
-    assert res.interior
-    assert abs(res.t_max - t_star) < 0.05 * t_star
-    assert abs(res.value - exact) < 1e-4 * exact
-
-
-def test_besov_heat_validation():
-    g = make_grid(8, 1.0)
-    f = SpectralVectorField.zero(g)
-    with pytest.raises(ValueError):
-        besov_heat_norm(f, -1.0, 2.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        besov_heat_norm(f, 1.0, 2.0, np.array([]))
 
 
 def test_decay_curve_validation():

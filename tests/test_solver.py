@@ -80,7 +80,7 @@ def test_model_spec_validation():
 def test_hyper_ell2_is_doubled_heat():
     g = make_grid(16, 3.0)
     m = ModelSpec("hyper", g, ell=2.0)
-    assert np.abs(m.propagator_values(0.7) - np.exp(-1.4 * g.band.k_sq)).max() < 1e-15
+    assert np.abs(np.exp(-0.7 * m.dissipation_exponent()) - np.exp(-1.4 * g.band.k_sq)).max() < 1e-15
 
 
 def test_graded_times():
@@ -278,6 +278,28 @@ def test_solve_rejects_data_it_cannot_hold(corrupt, message, method, monkeypatch
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("method", ["picard", "etd"])
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        pytest.param([[0.0, 1.0]], "not 1-D", id="2-d"),
+        pytest.param([0.0, np.nan, 1.0], "non-finite times", id="nan"),
+        pytest.param([0.5, 1.0, 2.0], "does not start at 0.0", id="late-start"),
+        pytest.param([0.0, 1.0, 0.5], "not strictly increasing", id="backwards"),
+        pytest.param([0.0, 1.0, 1.0], "not strictly increasing", id="repeated"),
+    ],
+)
+def test_solve_rejects_time_grids_it_cannot_integrate(times, message, method, monkeypatch):
+    # Picard integrates from times[0] with node 0 set to u0, and ETD marches
+    # whatever steps it is given, so neither would notice these grids
+    g = make_grid(16, 2 * np.pi)
+    u0 = taylor_green(g, 0.2)
+    calls = count_nonlinear(monkeypatch)
+    with pytest.raises(ValueError, match=f"time grid: {message}"):
+        solve(ModelSpec("ns", g), u0, np.array(times), method=method)
+    assert len(calls) == 0
+
+
 def test_picard_iteration_cap_per_node():
     g = make_grid(16, 2 * np.pi)
     u0 = taylor_green(g, 0.2)
@@ -350,6 +372,7 @@ def test_solves_record_the_band_storage():
 
 def test_solve_rejects_unknown_method():
     g = make_grid(8, 1.0)
+    u0 = SpectralVectorField(g, np.zeros((3,) + g.spectral_shape, dtype=complex))
     with pytest.raises(ValueError):
-        solve(ModelSpec("ns", g), SpectralVectorField.zero(g), np.array([0.0, 1.0]),
+        solve(ModelSpec("ns", g), u0, np.array([0.0, 1.0]),
               method="rk4")
