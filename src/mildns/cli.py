@@ -5,10 +5,11 @@ JSON report into the output directory, prints a per-criterion table, and
 exits 0 only when every declared pass-criterion holds.  Long-time limit
 claims are operationalized as finite-window surrogates: a trend over a
 declared measurement window plus a minimum drop factor per time decade.
-The measurements themselves (difference curves, drop rates, the bump
-perturbation, the linear part, the gap curves) live in
-``mildns.experiments``, shared with the acceptance suite; the thresholds
-live here, with the criteria that apply them.
+The thresholds and windows live in ``DEFAULTS`` below.  For the
+stability, mollified and hyper experiments and the C_l table, the
+measurements and the criteria that apply them are judges in
+``mildns.experiments``, shared with the acceptance suite; the subcommands
+make the solves and write the files.
 
 Configuration is INI-style, one section per experiment, every physical
 parameter in box units; missing keys fall back to the defaults below.  A
@@ -25,23 +26,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import homogeneous_data, landau_residual, landau_shell_samples
-from .experiments import (
-    bump_perturbation,
-    difference_curve,
-    drop_per_decade,
-    gap_curve,
-    heat_weak3_curve,
-    is_monotone_decreasing,
-    linear_part_curve,
-)
-from .fields import SpectralVectorField
+from . import experiments
+from .exact import landau_residual, landau_shell_samples
+from .experiments import Criterion
 from .grid import make_grid, set_fft_workers
-from .kernels import compute_Cl
 from .norms import fit_slope, lp_norm, weak_lp_norm, write_curve_csv
 from .solver import ModelSpec, duhamel_bilinear, solve
 
@@ -86,13 +77,6 @@ DEFAULTS = {
 }
 
 
-@dataclass
-class Criterion:
-    name: str
-    passed: bool
-    detail: str
-
-
 def load_config(path: str | None, section: str) -> dict:
     """Defaults for the section, overridden by the INI file when given."""
     cfg = dict(DEFAULTS[section])
@@ -127,141 +111,58 @@ def _write_table(path: str, header: str, rows, tag: str):
         fh.write(f"# config={tag}\n")
 
 
-def _desk_setup(cfg):
-    """Grid, graded-in-log times and the swirl data of the solver experiments."""
-    g = make_grid(int(cfg["n"]), cfg["L"])
-    times = np.concatenate(
-        [[0.0], np.geomspace(cfg["t_min"], cfg["T"], int(cfg["M"]))]
-    )
-    return g, times, homogeneous_data(g, cfg["amplitude"], delta_cells=cfg["delta_cells"])
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 
 
-def exp_stability(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = _desk_setup(cfg)
-    du = bump_perturbation(g, cfg["bump_amplitude"], cfg["bump_sigma"])
-    u0_tilde = SpectralVectorField(g, u0.coeffs + du, is_solenoidal=True)
+def _write_curves(outdir: str, curves: dict, tag: str):
+    for name, curve in curves.items():
+        write_curve_csv(os.path.join(outdir, name), curve, [f"config={tag}"])
 
+
+def exp_stability(cfg: dict, outdir: str, tag: str):
+    g, times, u0 = experiments.desk_setup(cfg)
     model = ModelSpec("ns", g)
     traj = solve(model, u0, times)
+    u0_tilde = experiments.bump_perturbed(u0, cfg["bump_amplitude"], cfg["bump_sigma"])
     traj_tilde = solve(model, u0_tilde, times)
-    diff = difference_curve(g, times, traj.coeffs, traj_tilde.coeffs, 3.0, "weak", "||u-u~||_{3,w}")
-    ts = diff.times
-    lin = heat_weak3_curve(g, ts, u0.coeffs - u0_tilde.coeffs, "||S(t)(u0-u0~)||_{3,w}")
-
-    lo, hi, need = cfg["window_lo"], cfg["window_hi"], cfg["drop_per_decade"]
-    fit_slope(diff, (lo, hi))
-    fit_slope(lin, (lo, hi))
-    write_curve_csv(os.path.join(outdir, "difference.csv"), diff, [f"config={tag}"])
-    write_curve_csv(os.path.join(outdir, "linear.csv"), lin, [f"config={tag}"])
-
-    d_rate = drop_per_decade(diff, lo, hi)
-    l_rate = drop_per_decade(lin, lo, hi)
-    mask = (ts >= lo) & (ts <= hi)
-    bounded = bool(np.all(diff.values[mask] <= 1.2 * lin.values[mask]))
-    return [
-        Criterion("difference drop per decade >= {:g}".format(need),
-                  d_rate >= need, f"measured {d_rate:.2f}x"),
-        Criterion("linear term drop per decade >= {:g}".format(need),
-                  l_rate >= need, f"measured {l_rate:.2f}x"),
-        Criterion("linear term bounds the difference trend",
-                  bounded, "pointwise diff <= 1.2 * linear in window"),
-    ], {"window_used": [lo, hi]}
+    criteria, curves, report = experiments.stability(cfg, traj, traj_tilde)
+    _write_curves(outdir, curves, tag)
+    return criteria, report
 
 
 def exp_mollified(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = _desk_setup(cfg)
-    kap1 = cfg["kappa_cells"] * g.dx
-    kap2 = cfg["kappa_cells_2"] * g.dx
+    g, times, u0 = experiments.desk_setup(cfg)
+    kap1, kap2 = experiments.mollifier_widths(cfg, g)
     traj = solve(ModelSpec("ns", g), u0, times)
     traj1 = solve(ModelSpec("mollified", g, kappa=kap1), u0, times)
     traj2 = solve(ModelSpec("mollified", g, kappa=kap2), u0, times)
-
-    curves = {}
-    for name, other, kap in (("kappa1", traj1, kap1), ("kappa2", traj2, kap2)):
-        for p_key in ("p", "p2"):
-            p = cfg[p_key]
-            c = difference_curve(g, times, traj.coeffs, other.coeffs, p, "lp")
-            curves[(name, p_key)] = c
-            write_curve_csv(
-                os.path.join(outdir, f"difference_{name}_p{p:g}.csv"),
-                c, [f"config={tag}", f"kappa={kap!r}"],
-            )
-
-    lo, hi, need = cfg["window_lo"], cfg["window_hi"], cfg["drop_per_decade"]
-    main_curve = curves[("kappa1", "p")]
-    rate = drop_per_decade(main_curve, lo, hi)
-    mono = is_monotone_decreasing(main_curve, lo, hi)
-    c2 = curves[("kappa2", "p")]
-    early = main_curve.times < lo
-    ordering = bool(np.all(c2.values[early] >= main_curve.values[early]))
-    return [
-        Criterion("difference functional monotone decreasing in window",
-                  mono, f"window [{lo}, {hi}]"),
-        Criterion(f"difference drop per decade >= {need:g}",
-                  rate >= need, f"measured {rate:.2f}x"),
-        Criterion("larger kappa gives larger early-time difference",
-                  ordering, f"kappa {kap2:g} vs {kap1:g} before t={lo}"),
-    ], {"window_used": [lo, hi]}
+    criteria, curves, report = experiments.mollified(cfg, traj, traj1, traj2)
+    for name, curve in curves.items():
+        kap = kap2 if name.startswith("difference_kappa2") else kap1
+        write_curve_csv(os.path.join(outdir, name), curve, [f"config={tag}", f"kappa={kap!r}"])
+    return criteria, report
 
 
 def exp_hyper(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = _desk_setup(cfg)
-    ell = cfg["ell"]
+    g, times, u0 = experiments.desk_setup(cfg)
+    hyper = ModelSpec("hyper", g, ell=cfg["ell"])
     traj = solve(ModelSpec("ns", g), u0, times)
-    traj_w = solve(ModelSpec("hyper", g, ell=ell), u0, times)
-    diff = difference_curve(g, times, traj.coeffs, traj_w.coeffs, 3.0, "weak", "||u-w||_{3,w}")
-    lo, hi, need = cfg["window_lo"], cfg["window_hi"], cfg["drop_per_decade"]
-    fit_slope(diff, (lo, hi))
-    write_curve_csv(os.path.join(outdir, "difference_weak3.csv"), diff, [f"config={tag}"])
-
-    cp = difference_curve(g, times, traj.coeffs, traj_w.coeffs, cfg["p"], "lp")
-    write_curve_csv(
-        os.path.join(outdir, f"difference_p{cfg['p']:g}.csv"), cp, [f"config={tag}"]
-    )
+    traj_w = solve(hyper, u0, times)
+    criteria, curves, report = experiments.hyper(cfg, traj, traj_w)
+    lin_criteria, lin_curves, lin_report = experiments.hyper_linear_part(cfg)
 
     # companion diagnostic: the nonlinear response of the regularized
     # trajectory under the plain vs regularized propagator (recorded only)
     b_ns = duhamel_bilinear(traj_w, traj_w, ModelSpec("ns", g))
-    b_h = duhamel_bilinear(traj_w, traj_w, ModelSpec("hyper", g, ell=ell))
-    gap = difference_curve(g, times, b_ns.coeffs, b_h.coeffs, 3.0, "weak", "duhamel propagator gap")
-    write_curve_csv(os.path.join(outdir, "integrand_gap.csv"), gap, [f"config={tag}"])
-
-    # linear part on a large box
-    gl = make_grid(int(cfg["lin_n"]), cfg["lin_L"])
-    lts = np.geomspace(cfg["lin_window_lo"], cfg["lin_window_hi"], int(cfg["lin_points"]))
-    lin = linear_part_curve(gl, lts, ell, int(cfg["seed"]), "||(S_l(t)-1)S(t)u0||_{3,w}")
-    sf = fit_slope(lin, (lts[0], lts[-1]))
-    write_curve_csv(os.path.join(outdir, "linear_part.csv"), lin, [f"config={tag}"])
-
-    rate = drop_per_decade(diff, lo, hi)
-    target = -(0.5 - 1.0 / ell)
-    return [
-        Criterion(f"difference drop per decade >= {need:g}",
-                  rate >= need, f"measured {rate:.2f}x"),
-        Criterion(f"linear-part slope {target:g} +/- {cfg['slope_tol']:g}",
-                  abs(sf.slope - target) <= cfg["slope_tol"],
-                  f"fitted {sf.slope:.3f} +/- {sf.stderr:.3f}"),
-    ], {"window_used": [lo, hi], "linear_window_used": [float(lts[0]), float(lts[-1])]}
+    b_h = duhamel_bilinear(traj_w, traj_w, hyper)
+    gap = experiments.difference_curve(b_ns, b_h, 3.0, "weak", "duhamel propagator gap")
+    _write_curves(outdir, {**curves, **lin_curves, "integrand_gap.csv": gap}, tag)
+    return criteria + lin_criteria, {**report, **lin_report}
 
 
 def exp_kernels(cfg: dict, outdir: str, tag: str):
-    criteria = []
-    cl_rows = []
-    for ell in [float(s) for s in str(cfg["cl_ells"]).split(",")]:
-        res = compute_Cl(ell)
-        cl_rows.append(res)
-        if ell <= 2:
-            ok = abs(res.value - 1.0) <= cfg["cl_tol"] and res.error_estimate <= cfg["cl_tol"]
-            criteria.append(Criterion(
-                f"C_{ell:g} = 1 +/- {cfg['cl_tol']:g}", ok,
-                f"value {res.value:.6f}, two-resolution gap {res.error_estimate:.1e}"))
-        else:
-            criteria.append(Criterion(
-                f"C_{ell:g} > 1.001", res.value > 1.001, f"value {res.value:.6f}"))
+    criteria, cl_rows = experiments.kernel_constants(cfg)
     _write_table(
         os.path.join(outdir, "cl_table.csv"), "ell,value,error_estimate,tail_bound,signed_mass",
         [(r.ell, r.value, r.error_estimate, r.tail_bound, r.signed_mass) for r in cl_rows], tag,
@@ -272,7 +173,7 @@ def exp_kernels(cfg: dict, outdir: str, tag: str):
     guards = []
     rows = []
     for ell in [float(s) for s in str(cfg["gap_ells"]).split(",")]:
-        curve, missed = gap_curve(gg, gap_ts, ell)
+        curve, missed = experiments.gap_curve(gg, gap_ts, ell)
         guards.extend(missed)
         ts, vals = curve.times, curve.values
         sf = fit_slope(curve, (ts[0], ts[-1]))

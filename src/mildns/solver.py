@@ -88,13 +88,6 @@ class ModelSpec:
 # Trajectories
 
 
-def graded_times(T: float, M: int, gamma: float = 2.0) -> np.ndarray:
-    """t_m = T (m/M)^gamma: early-time resolution matching the t^(1/2) scale."""
-    if T <= 0 or M < 1:
-        raise ValueError("need T > 0 and at least one step")
-    return T * (np.arange(M + 1) / M) ** gamma
-
-
 @dataclass
 class TimeGridSolution:
     """A velocity trajectory sampled on a (possibly graded) time grid.
@@ -240,7 +233,9 @@ def picard_solve(
     per node, the per-iteration maximum residual over nodes, the largest
     last-step contraction ratio, the number of nonlinear evaluations and
     the trajectory's storage.  ``y`` and the result hold band blocks.
+    Raises ValueError when ``y.times`` fail ``_check_times``.
     """
+    _check_times(y.times)
     mu = model.dissipation_exponent()
     y_scale = y.max_l2() or 1.0  # zero data: every residual is exactly 0
     out = TimeGridSolution(y.grid, y.times, np.empty_like(y.coeffs), {})
@@ -285,7 +280,6 @@ def picard_solve(
         "residuals": [max(r[k] for r in history if len(r) > k) for k in range(sweeps)],
         "contraction_ratio": max(ratios),
         "sweeps": sweeps,
-        "converged": True,
         **out.storage(),
     }
     return out

@@ -99,18 +99,21 @@ SMALL_INI = "n = 16\nL = 10.0\nM = 8\n"
     ],
 )
 def test_solver_experiment_is_byte_identical(tmp_path, monkeypatch, command, extra, n_csv):
-    # reruns and FFT worker counts give the same CSV bytes
+    # reruns and FFT worker counts give the same CSV bytes and criteria
     monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\n{SMALL_INI}{extra}")
-    csvs = []
+    csvs, reports = [], []
     for run, threads in (("a", "1"), ("b", "2"), ("c", "1")):
         out = tmp_path / run
         # some criteria fail at this size (the hyper linear slope), so the exit code is not checked
         main([command, "--config", str(cfg), "--out", str(out), "--threads", threads])
         csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        reports.append(json.loads((out / "report.json").read_text()))
+        del reports[-1]["elapsed_seconds"]
     assert len(csvs[0]) == n_csv
     assert csvs[0] == csvs[1] == csvs[2]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_threads_flag(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 from mildns.fields import SpectralVectorField, dealias, leray_project
 from mildns.grid import make_grid
 from mildns.snapshots import load_field, load_trajectory, save_field, save_trajectory
-from mildns.solver import ModelSpec, TimeGridSolution, graded_times, solve
+from mildns.solver import ModelSpec, TimeGridSolution, solve
+from test_solver import graded_times
 
 
 def random_field(grid, seed=0):
