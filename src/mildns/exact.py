@@ -1,9 +1,7 @@
 """Closed-form objects: Landau singular solutions, homogeneous degree -1
-data, and the parabolic rescaling operator."""
+data, and the parabolic rescaling by integer factors."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -171,69 +169,38 @@ def homogeneous_data(
 # Parabolic rescaling
 
 
-def _full_spectrum(f: SpectralVectorField) -> np.ndarray:
-    phys = f.to_physical()
-    return np.fft.fftn(phys, axes=(-3, -2, -1))
-
-
 def rescale(f: SpectralVectorField, lam: float, alias_tol: float = 1e-9) -> SpectralVectorField:
     """u_lambda(x) = lambda u(c + lambda (x - c)) about the box center c.
 
     Dilation in whole-space semantics: points whose source falls outside
     the box read zero, so a field windowed inside the box keeps a single
     compressed copy and the continuum norm scaling lambda^(1 - 3/p).
-    Rational lambda uses trigonometric interpolation on an upsampled
-    grid; pairs with time t -> t / lambda^2.  Raises AliasingError when
-    compression would push significant energy past the Nyquist mode.
+    lambda must be an integer >= 1 (2.0 counts), so every target sample is
+    a source sample; pairs with time t -> t / lambda^2.  Raises ValueError
+    for any other lambda, and AliasingError when compression would push
+    significant energy past the Nyquist mode.
     """
-    if lam <= 0:
-        raise ValueError(f"rescaling factor must be positive, got {lam}")
-    if lam == 1.0:
+    if not (lam >= 1 and float(lam).is_integer()):
+        raise ValueError(f"rescaling factor must be an integer >= 1, got {lam}")
+    if lam == 1:
         return f.copy()
     g = f.grid
     n = g.n
-    frac = Fraction(lam).limit_denominator(64)
-    if abs(float(frac) - lam) > 1e-12:
-        raise ValueError(f"rescaling factor {lam} is not a small rational")
-    p, q = frac.numerator, frac.denominator
 
-    if lam > 1.0:
-        # frequencies get multiplied by lambda; the tail that would pass
-        # Nyquist must carry negligible energy
-        F = _full_spectrum(f)
-        idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        total = float(np.sum(np.abs(F) ** 2))
-        hi = np.abs(idx) * lam >= n // 2
-        mask3 = hi[:, None, None] | hi[None, :, None] | hi[None, None, :]
-        lost = float(np.sum(np.abs(F[:, mask3]) ** 2))
-        if total > 0 and lost / total > alias_tol:
-            raise AliasingError(
-                f"rescaling by {lam} aliases {lost / total:.3e} of the energy"
-            )
+    # frequencies get multiplied by lambda; the modes that would pass
+    # Nyquist must carry negligible energy
+    hi = lam * np.minimum(np.arange(n), n - np.arange(n)) >= n // 2  # |mode index|, DFT order
+    mask = hi[:, None, None] | hi[None, :, None] | hi[None, None, : n // 2 + 1]
+    total = g.spectral_energy(f.coeffs)
+    lost = g.spectral_energy(f.coeffs * mask)
+    if total > 0 and lost / total > alias_tol:
+        raise AliasingError(f"rescaling by {lam} aliases {lost / total:.3e} of the energy")
 
-    if q == 1:
-        fine = f.to_physical()
-        N = n
-    else:
-        # exact trigonometric upsampling to n*q points per axis
-        F = _full_spectrum(f)
-        N = n * q
-        pad = np.zeros((3, N, N, N), dtype=complex)
-        half = n // 2
-        sl = np.r_[0:half, N - half : N]
-        src_sl = np.r_[0:half, n - half : n]
-        pad[np.ix_(range(3), sl, sl, sl)] = F[np.ix_(range(3), src_sl, src_sl, src_sl)]
-        fine = np.real(np.fft.ifftn(pad, axes=(-3, -2, -1))) * q**3
-
-    # target i maps to the fine source index N/2 + p (i - n/2), exactly
-    # on the fine grid since dx_fine = dx / q and lambda dx = p dx_fine
-    j = N // 2 + p * (np.arange(n) - n // 2)
-    valid = (j >= 0) & (j < N)
-    phys = np.zeros((3,) + g.physical_shape)
+    # target i reads the source sample n/2 + lambda (i - n/2)
+    j = n // 2 + int(lam) * (np.arange(n) - n // 2)
+    valid = (j >= 0) & (j < n)
     jv = j[valid]
-    phys[np.ix_(range(3), valid, valid, valid)] = lam * fine[
-        np.ix_(range(3), jv, jv, jv)
-    ]
-    out_f = SpectralVectorField.from_physical(g, phys)
-    out_f.is_solenoidal = f.is_solenoidal
-    return out_f
+    src = f.to_physical()
+    phys = np.zeros((3,) + g.physical_shape)
+    phys[np.ix_(range(3), valid, valid, valid)] = lam * src[np.ix_(range(3), jv, jv, jv)]
+    return SpectralVectorField(g, g.forward(phys), f.is_solenoidal)

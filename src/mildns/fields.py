@@ -148,20 +148,11 @@ _SYMMETRIC_PRODUCTS = tuple(
 )
 
 
-def _same_field(u: SpectralVectorField, v: SpectralVectorField) -> bool:
-    """True when u and v are one field: the same object or views of the same memory."""
-    a, b = u.coeffs, v.coeffs
-    return u is v or (
-        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-        and a.strides == b.strides and a.shape == b.shape and a.dtype == b.dtype
-    )
-
-
 def nonlinear_term(u: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorField:
     """P div (u (x) v), computed pseudo-spectrally with 2/3 dealiasing.
 
     u and v may be half spectra or band blocks (``Grid3.band``); the result
-    has u's layout.  When u and v are the same field, u is transformed once
+    has u's layout.  When v is u (the same object), u is transformed once
     and only the six distinct products of the symmetric tensor are formed
     and transformed.  Each product is transformed to the band's z-columns,
     cut to the band, and added into the divergence i xi_k (u_i v_k)^ in k
@@ -174,7 +165,7 @@ def nonlinear_term(u: SpectralVectorField, v: SpectralVectorField) -> SpectralVe
     g = u.grid
     band = g.band
     up = u.to_physical()
-    if _same_field(u, v):
+    if u is v:
         vp, products = up, _SYMMETRIC_PRODUCTS
     else:
         vp, products = v.to_physical(), _ALL_PRODUCTS

@@ -39,8 +39,8 @@ class Grid3:
             raise ValueError(f"grid size must be even, got n={n}")
         if n < 8:
             raise ValueError(f"grid size must be at least 8, got n={n}")
-        if box_length <= 0:
-            raise ValueError(f"box length must be positive, got L={box_length}")
+        if not 0 < box_length < np.inf:  # also false for NaN
+            raise ValueError(f"box length must be positive and finite, got L={box_length}")
         self.n = int(n)
         self.length = float(box_length)
         self.dx = self.length / self.n
@@ -181,5 +181,5 @@ class Band:
 
 
 def make_grid(n: int, box_length: float) -> Grid3:
-    """Build a periodic grid; rejects odd or tiny n and nonpositive L."""
+    """Build a periodic grid; rejects odd or tiny n and nonpositive or non-finite L."""
     return Grid3(n, box_length)

@@ -28,24 +28,38 @@ def save_field(path, f: SpectralVectorField, t: float = 0.0):
             fh.write(block.astype("<f8").tobytes())
 
 
-def load_field(path):
-    """Returns (field, t)."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if not parts or parts[0] != "NSF1":
-            raise ValueError(f"not an NSF1 snapshot: {header!r}")
+def _read_header(fh):
+    """(n, L, t) from the header line; ValueError naming what is wrong with it."""
+    header = fh.readline().decode("ascii").strip()
+    parts = header.split()
+    if not parts or parts[0] != "NSF1":
+        raise ValueError(f"not an NSF1 snapshot: {header!r}")
+    try:
+        bad = [p for p in parts[1:] if "=" not in p]
+        if bad:
+            raise ValueError(f"tokens without '=': {bad}")
         kv = dict(p.split("=", 1) for p in parts[1:])
-        n = int(kv["n"])
-        L = float(kv["L"])
-        t = float(kv["t"])
+        missing = [key for key in ("n", "L", "t") if key not in kv]
+        if missing:
+            raise ValueError(f"no {', '.join(missing)}")
         if int(kv.get("components", 3)) != 3:
             raise ValueError("NSF1 snapshots carry exactly 3 components")
+        n, L = int(kv["n"]), float(kv["L"])
+        make_grid(n, L)  # the grid's checks on n and L, before the payload is read
+        return n, L, float(kv["t"])
+    except ValueError as err:
+        raise ValueError(f"bad NSF1 header {header!r}: {err}") from None
+
+
+def load_field(path):
+    """Returns (field, t); the header is checked before the payload is read."""
+    with open(path, "rb") as fh:
+        n, L, t = _read_header(fh)
         raw = np.frombuffer(fh.read(3 * n**3 * 8), dtype="<f8")
     if raw.size != 3 * n**3:
         raise ValueError("truncated NSF1 snapshot")
     samples = raw.reshape(3, n, n, n).transpose(0, 3, 2, 1).copy()
-    grid = make_grid(n, L)
+    grid = make_grid(n, L)  # built last: before the payload buffers, it fragments the heap
     return SpectralVectorField.from_physical(grid, samples), t
 
 

@@ -33,6 +33,9 @@ from .fields import leray_project  # noqa: F401
 from .grid import Grid3
 from .kernels import mollifier_symbol
 
+TOL = 1e-9  # Picard stops once a node's update is this small, relative to max-node ||y||_2
+MAX_ITERATIONS = 60  # Picard iterations allowed per node
+
 
 class PicardDivergenceError(RuntimeError):
     """A node's Picard iteration stopped contracting (data too large for the small ball)."""
@@ -139,13 +142,6 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _check_same_grid(u: TimeGridSolution, v: TimeGridSolution):
-    if u.grid != v.grid or len(u.times) != len(v.times) or not np.allclose(
-        u.times, v.times
-    ):
-        raise ValueError("trajectories live on different grids")
-
-
 def _interval_weights(mu: np.ndarray, dt: float):
     """Product-integration weights for one interval of length dt.
 
@@ -174,17 +170,19 @@ def duhamel_bilinear(
     """B(u, v)(t_m) = -int_0^{t_m} propagator(t_m - tau) N(u, v)(tau) dtau.
 
     Uses the semigroup recursion B_m = decay * B_{m-1} + local integral,
-    which is exact for the product-integration rule.
+    which is exact for the product-integration rule (N's symmetric path when v is u).
     """
-    _check_same_grid(u, v)
+    if u.grid != v.grid or len(u.times) != len(v.times) or not np.allclose(
+        u.times, v.times
+    ):
+        raise ValueError("trajectories live on different grids")
     mu = model.dissipation_exponent()
     out = TimeGridSolution.zeros(u.grid, u.times)
     g = u.grid
 
     def integrand(m):
-        return model.nonlinear(
-            SpectralVectorField(g, u.coeffs[m]), SpectralVectorField(g, v.coeffs[m])
-        ).coeffs
+        um = SpectralVectorField(g, u.coeffs[m])
+        return model.nonlinear(um, um if v is u else SpectralVectorField(g, v.coeffs[m])).coeffs
 
     g_old = integrand(0)
     for m in range(1, len(u.times)):
@@ -214,20 +212,15 @@ def linear_forced_term(
     return out
 
 
-def picard_solve(
-    y: TimeGridSolution,
-    model: ModelSpec,
-    tol: float = 1e-9,
-    max_sweeps: int = 60,
-) -> TimeGridSolution:
+def picard_solve(y: TimeGridSolution, model: ModelSpec) -> TimeGridSolution:
     """Solve u = y + B(u, u) node by node, in time order.
 
     Once nodes 0..m-1 are final, the product-integration rule leaves
     u_m = base_m - w_new N(u_m) with base_m = y_m + decay B_{m-1} -
     w_old N_{m-1}.  From the explicit predictor base_m - w_new N_{m-1},
     iterate u <- base_m - w_new N(u), one nonlinear evaluation each, until
-    ||delta u||_2 <= tol * max-node ||y||_2, and keep the last update.  At
-    most ``max_sweeps`` iterations per node; a non-finite residual, one
+    ||delta u||_2 <= TOL * max-node ||y||_2, and keep the last update.  At
+    most ``MAX_ITERATIONS`` iterations per node; a non-finite residual, one
     that grows over 3 consecutive iterations, or no convergence raises
     PicardDivergenceError naming the node.  ``meta`` records iterations
     per node, the per-iteration maximum residual over nodes, the largest
@@ -251,7 +244,7 @@ def picard_solve(
         base = y.coeffs[m] + decay * b - w_old * n
         np.subtract(base, np.multiply(w_new, n, out=tmp), out=u)
         res = []
-        while not res or res[-1] > tol:
+        while not res or res[-1] > TOL:
             f = SpectralVectorField(y.grid, u, is_solenoidal=True)
             n = model.nonlinear(f, f).coeffs
             np.subtract(base, np.multiply(w_new, n, out=tmp), out=u_new)
@@ -262,8 +255,8 @@ def picard_solve(
                 why = "non-finite residual"
             elif len(res) > 3 and res[-1] > res[-2] > res[-3] > res[-4]:
                 why = "residual grew over 3 consecutive iterations"
-            elif len(res) >= max_sweeps and res[-1] > tol:
-                why = f"no convergence in {max_sweeps} iterations"
+            elif len(res) >= MAX_ITERATIONS and res[-1] > TOL:
+                why = f"no convergence in {MAX_ITERATIONS} iterations"
             else:
                 continue
             raise PicardDivergenceError(f"node {m} at t = {t:g}: {why}; residuals {res}")
@@ -324,18 +317,6 @@ def etd_march(
     return out
 
 
-def solve(
-    model: ModelSpec,
-    u0: SpectralVectorField,
-    times: np.ndarray,
-    method: str = "picard",
-    tol: float = 1e-9,
-    max_sweeps: int = 60,
-) -> TimeGridSolution:
-    """Run the requested model from solenoidal mean-free data."""
-    if method == "picard":
-        y = linear_forced_term(u0, model, times)
-        return picard_solve(y, model, tol=tol, max_sweeps=max_sweeps)
-    if method == "etd":
-        return etd_march(u0, model, times)
-    raise ValueError(f"unknown method {method!r}")
+def solve(model: ModelSpec, u0: SpectralVectorField, times: np.ndarray) -> TimeGridSolution:
+    """Run the model from solenoidal mean-free data by Picard iteration."""
+    return picard_solve(linear_forced_term(u0, model, times), model)

@@ -158,7 +158,7 @@ def test_criterion_06_cross_oracle(kind, kwargs, T):
     g = make_grid(16, 2 * np.pi)
     u0 = taylor_green(g, 0.2)
     model = ModelSpec(kind, g, **kwargs)
-    ref = solve(model, u0, np.linspace(0.0, T, 257), tol=1e-9)
+    ref = solve(model, u0, np.linspace(0.0, T, 257))
     ref_final = ref.coeffs[-1]
     ref_norm = SpectralVectorField(g, ref_final).l2_norm()
 

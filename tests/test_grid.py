@@ -14,6 +14,10 @@ def test_rejects_bad_sizes():
         make_grid(16, 0.0)
     with pytest.raises(ValueError):
         make_grid(16, -2.0)
+    with pytest.raises(ValueError):
+        make_grid(8, np.nan)
+    with pytest.raises(ValueError):
+        make_grid(8, np.inf)
 
 
 def test_wavenumber_layout():

@@ -4,7 +4,7 @@ import pytest
 from mildns.fields import SpectralVectorField, dealias, leray_project
 from mildns.grid import make_grid
 from mildns.snapshots import load_field, load_trajectory, save_field, save_trajectory
-from mildns.solver import ModelSpec, TimeGridSolution, solve
+from mildns.solver import ModelSpec, TimeGridSolution, etd_march
 from test_solver import graded_times
 
 
@@ -41,6 +41,22 @@ def test_load_rejects_bad_magic(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        pytest.param("NSF1 n=8 L=1.0 t=0.0 junk", "tokens without '='", id="no-equals"),
+        pytest.param("NSF1 L=1.0 t=0.0 components=3", "no n", id="no-n"),
+        pytest.param("NSF1 n=-8 L=1.0 t=0.0 components=3", "at least 8", id="negative-n"),
+        pytest.param("NSF1 n=8 L=nan t=0.0 components=3", "positive and finite", id="nan-box"),
+    ],
+)
+def test_load_rejects_malformed_headers(tmp_path, header, message):
+    path = tmp_path / "bad.nsf"
+    path.write_bytes(header.encode("ascii") + b"\n" + b"\x00" * 64)
+    with pytest.raises(ValueError, match=f"bad NSF1 header .*{message}"):
+        load_field(path)
+
+
 def test_load_rejects_truncated(tmp_path):
     g = make_grid(8, 1.0)
     path = tmp_path / "field.nsf"
@@ -56,7 +72,7 @@ def test_trajectory_round_trip(tmp_path):
     times = graded_times(0.5, 4)
     u0 = leray_project(dealias(random_field(g, 1)))  # solver data: solenoidal, in the band
     u0.coeffs[:, 0, 0, 0] = 0.0
-    traj = solve(ModelSpec("ns", g), u0, times, method="etd")
+    traj = etd_march(u0, ModelSpec("ns", g), times)
     manifest = save_trajectory(tmp_path / "run", traj, "ns", kappa=0.0, ell=None)
     assert manifest["grid"] == {"n": 8, "L": 2 * np.pi}
     lt, fields, m2 = load_trajectory(tmp_path / "run")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mildns import solver
 from mildns.fields import SpectralVectorField, dealias, gradient, leray_project
-from mildns.grid import make_grid
+from mildns.grid import Grid3, make_grid
 from mildns.solver import (
     BlowupError,
     ModelSpec,
@@ -47,6 +48,15 @@ def random_field(grid, amplitude, seed):
     f.coeffs[:, 0, 0, 0] = 0.0
     f.coeffs *= amplitude / f.l2_norm()
     return f
+
+
+def etd(model, u0, times):
+    """etd_march in solve's argument order."""
+    return etd_march(u0, model, times)
+
+
+# the Picard solver and the ETD2RK oracle, each called as run(model, u0, times)
+SOLVERS = [pytest.param(solve, id="picard"), pytest.param(etd, id="etd")]
 
 
 def count_nonlinear(monkeypatch):
@@ -140,8 +150,8 @@ def test_shear_flow_is_exact_for_both_methods():
     u0 = shear_flow(g, 0.8)
     times = np.linspace(0.0, 2.0, 9)
     model = ModelSpec("ns", g)
-    for method in ("picard", "etd"):
-        traj = solve(model, u0, times, method=method)
+    for run in (solve, etd):
+        traj = run(model, u0, times)
         for m, t in enumerate(times):
             expect = np.exp(-t) * u0.coeffs
             err = np.abs(traj.node(m).coeffs - expect).max()
@@ -173,9 +183,8 @@ def test_picard_solves_the_whole_trajectory_fixed_point(kind, kwargs, monkeypatc
     model = ModelSpec(kind, g, **kwargs)
     u0 = random_field(g, 2.0, seed=3)
     times = graded_times(2.0, 16)
-    tol = 1e-9
     calls = count_nonlinear(monkeypatch)
-    traj = solve(model, u0, times, tol=tol)
+    traj = solve(model, u0, times)
     assert traj.meta["nonlinear_evals"] == len(calls)
     y = linear_forced_term(u0, model, times)
     b = duhamel_bilinear(traj, traj, model)
@@ -183,9 +192,9 @@ def test_picard_solves_the_whole_trajectory_fixed_point(kind, kwargs, monkeypatc
         SpectralVectorField(g, y.coeffs[m] + b.coeffs[m] - traj.coeffs[m]).l2_norm()
         for m in range(len(times))
     ) / y.max_l2()
-    assert res <= tol
+    assert res <= solver.TOL
     # the nonlinear part of the solution is far above the tolerance
-    assert np.abs(traj.coeffs - y.coeffs).max() > 1e3 * tol * np.abs(y.coeffs).max()
+    assert np.abs(traj.coeffs - y.coeffs).max() > 1e3 * solver.TOL * np.abs(y.coeffs).max()
 
 
 def test_picard_divergence_detected():
@@ -248,7 +257,7 @@ def _outside_the_band(f):
     f.coeffs += 1e-6 * high.coeffs  # solenoidal and mean-free, but not dealiased
 
 
-@pytest.mark.parametrize("method", ["picard", "etd"])
+@pytest.mark.parametrize("run", SOLVERS)
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -258,17 +267,17 @@ def _outside_the_band(f):
         (_outside_the_band, "outside the 2/3 band"),
     ],
 )
-def test_solve_rejects_data_it_cannot_hold(corrupt, message, method, monkeypatch):
+def test_solve_rejects_data_it_cannot_hold(corrupt, message, run, monkeypatch):
     g = make_grid(16, 2 * np.pi)
     u0 = taylor_green(g, 0.2)
     corrupt(u0)
     calls = count_nonlinear(monkeypatch)
     with pytest.raises(ValueError, match=message):
-        solve(ModelSpec("ns", g), u0, graded_times(1.0, 4), method=method)
+        run(ModelSpec("ns", g), u0, graded_times(1.0, 4))
     assert len(calls) == 0
 
 
-@pytest.mark.parametrize("method", ["picard", "etd"])
+@pytest.mark.parametrize("run", SOLVERS)
 @pytest.mark.parametrize(
     "times, message",
     [
@@ -279,14 +288,14 @@ def test_solve_rejects_data_it_cannot_hold(corrupt, message, method, monkeypatch
         pytest.param([0.0, 1.0, 1.0], "not strictly increasing", id="repeated"),
     ],
 )
-def test_solve_rejects_time_grids_it_cannot_integrate(times, message, method, monkeypatch):
+def test_solve_rejects_time_grids_it_cannot_integrate(times, message, run, monkeypatch):
     # Picard integrates from times[0] with node 0 set to u0, and ETD marches
     # whatever steps it is given, so neither would notice these grids
     g = make_grid(16, 2 * np.pi)
     u0 = taylor_green(g, 0.2)
     calls = count_nonlinear(monkeypatch)
     with pytest.raises(ValueError, match=f"time grid: {message}"):
-        solve(ModelSpec("ns", g), u0, np.array(times), method=method)
+        run(ModelSpec("ns", g), u0, np.array(times))
     assert len(calls) == 0
 
 
@@ -302,11 +311,13 @@ def test_picard_rejects_a_relabelled_time_grid(monkeypatch):
     assert len(calls) == 0
 
 
-def test_picard_iteration_cap_per_node():
+def test_picard_iteration_cap_per_node(monkeypatch):
     g = make_grid(16, 2 * np.pi)
     u0 = taylor_green(g, 0.2)
+    monkeypatch.setattr(solver, "TOL", 1e-30)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
     with pytest.raises(PicardDivergenceError, match=r"node 1 .*no convergence in 2 iter"):
-        solve(ModelSpec("ns", g), u0, graded_times(2.0, 32), tol=1e-30, max_sweeps=2)
+        solve(ModelSpec("ns", g), u0, graded_times(2.0, 32))
 
 
 def test_energy_nonincreasing_unforced():
@@ -351,6 +362,27 @@ def test_duhamel_bilinear_grid_mismatch():
         duhamel_bilinear(a, b, ModelSpec("ns", g1))
 
 
+def test_duhamel_bilinear_of_one_trajectory_takes_the_symmetric_path(monkeypatch):
+    # N(u, u) transforms the 6 distinct products of a symmetric tensor, N(u, v) all 9
+    g = make_grid(16, 2 * np.pi)
+    model = ModelSpec("ns", g)
+    traj = solve(model, taylor_green(g, 0.2), graded_times(1.0, 4))
+    calls = []
+    original = Grid3.forward
+
+    def counted(self, samples, kz_keep=None):
+        calls.append(1)
+        return original(self, samples, kz_keep)
+
+    monkeypatch.setattr(Grid3, "forward", counted)
+    b = duhamel_bilinear(traj, traj, model)
+    assert len(calls) == 6 * len(traj.times)
+    calls.clear()
+    same_coeffs = TimeGridSolution(g, traj.times, traj.coeffs)  # another object
+    assert np.array_equal(duhamel_bilinear(traj, same_coeffs, model).coeffs, b.coeffs)
+    assert len(calls) == 9 * len(traj.times)
+
+
 def test_etd_blowup_guard():
     # data far outside the small-data regime: the explicit stages overshoot
     g = make_grid(8, 2 * np.pi)
@@ -371,10 +403,3 @@ def test_solves_record_the_band_storage():
     assert traj.meta["band_shape"] == g.band.shape
     assert traj.meta["trajectory_bytes"] == traj.coeffs.nbytes
 
-
-def test_solve_rejects_unknown_method():
-    g = make_grid(8, 1.0)
-    u0 = SpectralVectorField(g, np.zeros((3,) + g.spectral_shape, dtype=complex))
-    with pytest.raises(ValueError):
-        solve(ModelSpec("ns", g), u0, np.array([0.0, 1.0]),
-              method="rk4")
