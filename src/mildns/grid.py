@@ -26,6 +26,14 @@ def set_fft_workers(k: int):
     _FFT_WORKERS = int(k)
 
 
+def check_grid_size(n: int, box_length: float):
+    """ValueError unless n is even and at least 8 and L is positive and finite."""
+    if n % 2 != 0 or n < 8:
+        raise ValueError(f"grid size must be even and at least 8, got n={n}")
+    if not 0 < box_length < np.inf:  # also false for NaN
+        raise ValueError(f"box length must be positive and finite, got L={box_length}")
+
+
 class Grid3:
     """Periodic computational box: n points per axis, side length L.
 
@@ -35,12 +43,7 @@ class Grid3:
     """
 
     def __init__(self, n: int, box_length: float):
-        if n % 2 != 0:
-            raise ValueError(f"grid size must be even, got n={n}")
-        if n < 8:
-            raise ValueError(f"grid size must be at least 8, got n={n}")
-        if not 0 < box_length < np.inf:  # also false for NaN
-            raise ValueError(f"box length must be positive and finite, got L={box_length}")
+        check_grid_size(n, box_length)
         self.n = int(n)
         self.length = float(box_length)
         self.dx = self.length / self.n

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .fields import SpectralVectorField
-from .grid import make_grid
+from .grid import check_grid_size, make_grid
 
 
 def save_field(path, f: SpectralVectorField, t: float = 0.0):
@@ -45,7 +45,7 @@ def _read_header(fh):
         if int(kv.get("components", 3)) != 3:
             raise ValueError("NSF1 snapshots carry exactly 3 components")
         n, L = int(kv["n"]), float(kv["L"])
-        make_grid(n, L)  # the grid's checks on n and L, before the payload is read
+        check_grid_size(n, L)
         return n, L, float(kv["t"])
     except ValueError as err:
         raise ValueError(f"bad NSF1 header {header!r}: {err}") from None
@@ -59,8 +59,7 @@ def load_field(path):
     if raw.size != 3 * n**3:
         raise ValueError("truncated NSF1 snapshot")
     samples = raw.reshape(3, n, n, n).transpose(0, 3, 2, 1).copy()
-    grid = make_grid(n, L)  # built last: before the payload buffers, it fragments the heap
-    return SpectralVectorField.from_physical(grid, samples), t
+    return SpectralVectorField.from_physical(make_grid(n, L), samples), t
 
 
 def save_trajectory(directory, traj, model_kind: str, kappa: float = 0.0, ell=None):
@@ -89,8 +88,5 @@ def load_trajectory(directory):
     """Returns (times, fields, manifest)."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    fields = []
-    for name in manifest["snapshots"]:
-        f, _ = load_field(os.path.join(directory, name))
-        fields.append(f)
+    fields = [load_field(os.path.join(directory, name))[0] for name in manifest["snapshots"]]
     return np.array(manifest["times"]), fields, manifest
