@@ -6,9 +6,11 @@ oscillatory integral
     p_l(r, 1) = (1 / (2 pi^2 r)) * int_0^inf exp(-rho^l) rho sin(rho r) drho
 
 with the self-similar form p_l(x, t) = t^(-3/l) p_l(x t^(-1/l), 1).
-This module evaluates it by quadrature, computes the L^1 mass C_l,
-measures the L^1 gap between the combined and plain heat semigroups,
-and builds the compactly supported mollifier symbol.
+This module evaluates it by quadrature (adaptively at one radius, and on
+a uniform radial grid by a Gauss-Legendre sum with block angle addition),
+computes the L^1 mass C_l, measures the L^1 gap between the combined and
+plain heat semigroups on the even octant of the grid with a DCT-I, and
+builds the compactly supported mollifier symbol.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+from . import grid as _grid
 from .grid import Grid3
 
 
@@ -84,21 +88,28 @@ def _panel_rule(ell: float, r_max: float):
     return nodes, weights * np.exp(-(nodes**ell)) * nodes
 
 
-def kernel_table(ell: float, radii: np.ndarray) -> np.ndarray:
-    """Vectorized p_l(r, 1) over an array of radii (panel-aligned GL rule)."""
-    radii = np.asarray(radii, dtype=float)
-    nodes, fw = _panel_rule(float(ell), float(radii.max()))
-    out = np.empty_like(radii)
-    zero = radii == 0.0
-    out[zero] = gamma_fn(3.0 / ell) / (ell * 2.0 * math.pi**2)
-    rr = radii[~zero]
-    # sum_j fw_j sin(rho_j r), blocked to bound the temporary size
-    vals = np.empty_like(rr)
+def kernel_table(ell: float, r_max: float, n_points: int) -> np.ndarray:
+    """p_l(r, 1) at the radii np.linspace(0, r_max, n_points).
+
+    The panel-aligned Gauss-Legendre sum sum_j fw_j sin(rho_j r) runs in
+    blocks of 256 radii.  With r = r_b + i dr, angle addition splits each
+    sine into sin(rho r_b) cos(rho i dr) + cos(rho r_b) sin(rho i dr): the
+    offset terms are shared by every block and the anchor terms by every
+    radius of a block, so the sum is two matrix products and the sines
+    number (2 * 256 + 2 * blocks) per node instead of one per radius.
+    """
+    radii = np.linspace(0.0, r_max, n_points)
+    nodes, fw = _panel_rule(float(ell), float(r_max))
     block = 256
-    for i in range(0, rr.size, block):
-        rb = rr[i : i + block]
-        vals[i : i + block] = np.sin(np.outer(rb, nodes)) @ fw
-    out[~zero] = vals / (2.0 * math.pi**2 * rr)
+    dr = r_max / max(n_points - 1, 1)  # linspace's step
+    offsets = np.outer(np.arange(block) * dr, nodes)
+    anchors = np.outer(nodes, np.arange(0, n_points, block) * dr)
+    sums = np.cos(offsets) @ (np.sin(anchors) * fw[:, None])
+    sums += np.sin(offsets) @ (np.cos(anchors) * fw[:, None])
+    vals = sums.T.ravel()[:n_points]  # radius b * block + i sits at [i, b]
+    out = np.empty_like(radii)
+    out[0] = gamma_fn(3.0 / ell) / (ell * 2.0 * math.pi**2)
+    out[1:] = vals[1:] / (2.0 * math.pi**2 * radii[1:])
     return out
 
 
@@ -125,7 +136,7 @@ class ClResult:
 
 def _cl_single(ell: float, r_cut: float, n_points: int):
     radii = np.linspace(0.0, r_cut, n_points)
-    p = kernel_table(ell, radii)
+    p = kernel_table(ell, r_cut, n_points)
     integrand_abs = 4.0 * math.pi * np.abs(p) * radii**2
     integrand_signed = 4.0 * math.pi * p * radii**2
     head_abs = integrate.simpson(integrand_abs, x=radii)
@@ -163,8 +174,19 @@ def compute_Cl(ell: float, r_cut: float | None = None, n_points: int = 4096) -> 
 def l1_semigroup_gap(ell: float, t: float, grid: Grid3) -> float:
     """|| p_l(t) * p(t/2) - p(t/2) ||_1 on the periodic grid.
 
-    Both kernels must be resolved (width >= 4 cells) and contained
-    (width <= L/8) so periodization error stays below measurement noise.
+    The guards require both kernels to be resolved (width >= 4 cells) and
+    contained (width <= L/8).  They do not bound the error from periodic
+    images: for l = 3 at t = 64 on a 256^3, L = 64 grid the value is about
+    2.4 % below the whole-space gap that radial quadrature gives, because
+    p_l has an algebraic tail.
+
+    The multiplier depends on |xi|^2 only, so it is even in each axis and
+    so is its inverse DFT.  The DFT of an even sequence of length n is the
+    DCT-I of its first n/2 + 1 entries, and idct type 1 normalizes by
+    1/(2 (n/2)) = 1/n per axis as irfftn does.  The gap is therefore
+    computed on the (n/2 + 1)^3 nonnegative octant, each point counted with
+    its multiplicity 1, 2, ..., 2, 1 per axis in the full grid.  With these
+    conventions the cell volume cancels exactly.
     """
     if t <= 0:
         raise ValueError(f"gap time must be positive, got t={t}")
@@ -180,14 +202,13 @@ def l1_semigroup_gap(ell: float, t: float, grid: Grid3) -> float:
         raise ContainmentError(
             f"kernel not contained: width {max_w:.3g} > L/8 ({grid.length / 8:.3g})"
         )
-    ksq = grid.k_sq
-    kmag_l = ksq ** (ell / 2.0)
+    k = grid.kz.ravel()  # 0 .. n/2 times 2 pi / L
+    ksq = k[:, None, None] ** 2 + k[:, None] ** 2 + k**2
     m_heat = np.exp(-(t / 2.0) * ksq)
-    diff = np.exp(-t * kmag_l) * m_heat - m_heat
-    # with these conventions the cell volume cancels exactly:
-    # sum |IDFT(m)| / cellvol * cellvol
-    phys = grid.backward(diff)
-    return float(np.abs(phys).sum())
+    diff = np.exp(-t * ksq ** (ell / 2.0)) * m_heat - m_heat
+    phys = scipy.fft.idctn(diff, type=1, overwrite_x=True, workers=_grid._FFT_WORKERS)
+    w = grid.hermitian_weight.ravel()
+    return float((np.abs(phys) * (w[:, None, None] * w[:, None] * w)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,29 @@ def test_solver_experiment_is_byte_identical(tmp_path, monkeypatch, command, ext
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_kernels_experiment_is_byte_identical(tmp_path, monkeypatch):
+    # the gap's threaded DCT gives the same CSV bytes for any worker count
+    monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
+    cfg = tmp_path / "cfg.ini"
+    # every time passes the width guards: 1 <= sqrt(t), t^(1/l) <= 2 = L/8, 4 cells = 1
+    cfg.write_text(
+        "[kernels]\ngap_n = 64\ngap_L = 16.0\ngap_t_min = 1.0\ngap_t_max = 4.0\n"
+        "gap_points = 3\ncl_ells = 2\n"
+    )
+    csvs, reports = [], []
+    for run, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+        out = tmp_path / run
+        # slope criteria can fail at this size, so the exit code is not checked
+        main(["kernels", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        reports.append(json.loads((out / "report.json").read_text()))
+        del reports[-1]["elapsed_seconds"]
+    assert sorted(csvs[0]) == ["cl_table.csv", "gap.csv"]
+    assert not reports[0]["guards_triggered"]
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_threads_flag(tmp_path, monkeypatch):
     monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
     out = tmp_path / "out"

@@ -9,6 +9,7 @@ from mildns.kernels import (
     ContainmentError,
     SupportError,
     _gauss_legendre,
+    _panel_rule,
     compute_Cl,
     kernel_realspace,
     kernel_table,
@@ -33,19 +34,30 @@ def test_kernel_ell1_is_poisson():
 
 @pytest.mark.parametrize("ell", [1.5, 3.0, 4.0])
 def test_table_matches_adaptive_quadrature(ell):
-    radii = np.array([0.0, 0.3, 1.0, 2.7, 6.0])
-    table = kernel_table(ell, radii)
-    for r, v in zip(radii, table):
-        assert abs(v - kernel_realspace(ell, r)) < 1e-9
+    table = kernel_table(ell, 6.0, 61)  # step 0.1
+    for i in (0, 3, 10, 27, 60):
+        assert abs(table[i] - kernel_realspace(ell, 0.1 * i)) < 1e-9
+
+
+def test_table_block_sum_does_not_drift():
+    # the longest table compute_Cl builds, against one sine per radius and node
+    ell, r_max, n_points = 1.0, 75.0, 8192
+    table = kernel_table(ell, r_max, n_points)
+    nodes, fw = _panel_rule(ell, r_max)
+    radii = np.linspace(0.0, r_max, n_points)
+    direct = np.concatenate(
+        [np.sin(np.outer(radii[i : i + 512], nodes)) @ fw for i in range(0, n_points, 512)]
+    )
+    assert abs(table[0] - kernel_realspace(ell, 0.0)) == 0.0
+    assert np.abs(table[1:] - direct[1:] / (2.0 * math.pi**2 * radii[1:])).max() < 1e-14
 
 
 def test_hyper_kernel_changes_sign():
     # for ell > 2 the kernel is not a positive density
-    radii = np.linspace(0.0, 12.0, 1024)
-    values = kernel_table(4.0, radii)
+    values = kernel_table(4.0, 12.0, 1024)
     assert values.min() < -1e-5
     assert values.max() > 0
-    assert kernel_table(2.0, radii).min() > 0
+    assert kernel_table(2.0, 12.0, 1024).min() > 0
 
 
 def test_cl_unit_mass_regime():
@@ -100,6 +112,17 @@ def test_gap_obeys_the_stated_rate_as_a_bound():
         envelope = gaps[0] * (ts / ts[0]) ** -(0.5 - 1.0 / ell)
         assert np.all(gaps <= envelope * 1.05)
         assert gaps[-1] < gaps[0]
+
+
+@pytest.mark.parametrize("n", [32, 34])  # n/2 even and odd
+@pytest.mark.parametrize("ell", [2.0, 3.0, 4.0, 6.0])
+def test_octant_gap_equals_the_full_grid_formula(n, ell):
+    # below n = 32 no time passes both guards (4 cells would exceed L/8)
+    g = make_grid(n, 8.0)
+    t = 1.0
+    m_heat = np.exp(-(t / 2.0) * g.k_sq)
+    full = np.abs(g.backward(np.exp(-t * g.k_sq ** (ell / 2.0)) * m_heat - m_heat)).sum()
+    assert abs(l1_semigroup_gap(ell, t, g) - full) <= 1e-12 * full
 
 
 def test_gap_guards():
