@@ -55,6 +55,7 @@ class Grid3:
         self.kx = k1d.reshape(-1, 1, 1)
         self.ky = k1d.reshape(1, -1, 1)
         self.kz = k1d_r.reshape(1, 1, -1)
+        self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
         self.spectral_shape = (self.n, self.n, self.n // 2 + 1)
         self.physical_shape = (self.n, self.n, self.n)
 
@@ -86,11 +87,6 @@ class Grid3:
             return scipy.fft.rfftn(samples, axes=(-3, -2, -1), workers=_FFT_WORKERS)
         half = scipy.fft.rfft(samples, axis=-1, workers=_FFT_WORKERS)[..., :kz_keep]
         return scipy.fft.fftn(half, axes=(-3, -2), workers=_FFT_WORKERS, overwrite_x=True)
-
-    @cached_property
-    def k_sq(self) -> np.ndarray:
-        """|xi|^2 on the half spectrum, built on first use."""
-        return self.kx**2 + self.ky**2 + self.kz**2
 
     @cached_property
     def band(self) -> "Band":

@@ -51,14 +51,19 @@ def _read_header(fh):
         raise ValueError(f"bad NSF1 header {header!r}: {err}") from None
 
 
-def load_field(path):
-    """Returns (field, t); the header is checked before the payload is read."""
+def _read_samples(path):
+    """(n, L, t, samples); the header is checked before the payload is read."""
     with open(path, "rb") as fh:
         n, L, t = _read_header(fh)
         raw = np.frombuffer(fh.read(3 * n**3 * 8), dtype="<f8")
     if raw.size != 3 * n**3:
         raise ValueError("truncated NSF1 snapshot")
-    samples = raw.reshape(3, n, n, n).transpose(0, 3, 2, 1).copy()
+    return n, L, t, raw.reshape(3, n, n, n).transpose(0, 3, 2, 1).copy()
+
+
+def load_field(path):
+    """Returns (field, t); the header is checked before the payload is read."""
+    n, L, t, samples = _read_samples(path)
     return SpectralVectorField.from_physical(make_grid(n, L), samples), t
 
 
@@ -85,8 +90,13 @@ def save_trajectory(directory, traj, model_kind: str, kappa: float = 0.0, ell=No
 
 
 def load_trajectory(directory):
-    """Returns (times, fields, manifest)."""
+    """Returns (times, fields, manifest); snapshots of one grid share one Grid3."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    fields = [load_field(os.path.join(directory, name))[0] for name in manifest["snapshots"]]
+    grid, fields = None, []
+    for name in manifest["snapshots"]:
+        n, L, _, samples = _read_samples(os.path.join(directory, name))
+        if grid is None or (grid.n, grid.length) != (n, L):
+            grid = make_grid(n, L)
+        fields.append(SpectralVectorField.from_physical(grid, samples))
     return np.array(manifest["times"]), fields, manifest

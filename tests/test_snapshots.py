@@ -78,6 +78,7 @@ def test_trajectory_round_trip(tmp_path):
     lt, fields, m2 = load_trajectory(tmp_path / "run")
     assert np.allclose(lt, times)
     assert m2["model"] == "ns"
+    assert all(f.grid is fields[0].grid for f in fields)  # one grid, one k^2 array
     for i, f in enumerate(fields):
         assert np.abs(f.to_physical() - traj.node(i).to_physical()).max() < 1e-12
 
