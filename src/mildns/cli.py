@@ -5,11 +5,10 @@ JSON report into the output directory, prints a per-criterion table, and
 exits 0 only when every declared pass-criterion holds.  Long-time limit
 claims are operationalized as finite-window surrogates: a trend over a
 declared measurement window plus a minimum drop factor per time decade.
-The thresholds and windows live in ``DEFAULTS`` below.  For the
-stability, mollified and hyper experiments and the C_l table, the
-measurements and the criteria that apply them are judges in
-``mildns.experiments``, shared with the acceptance suite; the subcommands
-make the solves and write the files.
+The thresholds and windows live in ``DEFAULTS`` below.  Except for
+``landau`` and ``norms-selftest``, the experiments are defined in
+``mildns.experiments``, shared with the acceptance suite: the subcommands
+solve what an experiment declares and write what its judges return.
 
 Configuration is INI-style, one section per experiment, every physical
 parameter in box units; missing keys fall back to the defaults below.  A
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import os
@@ -32,9 +32,8 @@ import numpy as np
 from . import experiments
 from .exact import landau_residual, landau_shell_samples
 from .experiments import Criterion
-from .grid import make_grid, set_fft_workers
-from .norms import fit_slope, lp_norm, weak_lp_norm, write_curve_csv
-from .solver import ModelSpec, duhamel_bilinear, solve
+from .grid import set_fft_workers
+from .norms import lp_norm, weak_lp_norm, write_curve_csv
 
 
 DEFAULTS = {
@@ -115,50 +114,17 @@ def _write_table(path: str, header: str, rows, tag: str):
 # Experiments
 
 
-def _write_curves(outdir: str, curves: dict, tag: str):
-    for name, curve in curves.items():
-        write_curve_csv(os.path.join(outdir, name), curve, [f"config={tag}"])
-
-
-def exp_stability(cfg: dict, outdir: str, tag: str):
+def exp_solver(name: str, cfg: dict, outdir: str, tag: str):
     g, times, u0 = experiments.desk_setup(cfg)
-    model = ModelSpec("ns", g)
-    traj = solve(model, u0, times)
-    u0_tilde = experiments.bump_perturbed(u0, cfg["bump_amplitude"], cfg["bump_sigma"])
-    traj_tilde = solve(model, u0_tilde, times)
-    criteria, curves, report = experiments.stability(cfg, traj, traj_tilde)
-    _write_curves(outdir, curves, tag)
+    trajs = experiments.solve_declared(experiments.solves(name, cfg, g, u0), times)
+    criteria, report = [], {}
+    for judged in experiments.judgements(name, cfg, trajs):
+        criteria += judged.criteria
+        report.update(judged.report)
+        for csv, curve in judged.curves.items():
+            comments = [f"config={tag}", *judged.comments.get(csv, [])]
+            write_curve_csv(os.path.join(outdir, csv), curve, comments)
     return criteria, report
-
-
-def exp_mollified(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = experiments.desk_setup(cfg)
-    kap1, kap2 = experiments.mollifier_widths(cfg, g)
-    traj = solve(ModelSpec("ns", g), u0, times)
-    traj1 = solve(ModelSpec("mollified", g, kappa=kap1), u0, times)
-    traj2 = solve(ModelSpec("mollified", g, kappa=kap2), u0, times)
-    criteria, curves, report = experiments.mollified(cfg, traj, traj1, traj2)
-    for name, curve in curves.items():
-        kap = kap2 if name.startswith("difference_kappa2") else kap1
-        write_curve_csv(os.path.join(outdir, name), curve, [f"config={tag}", f"kappa={kap!r}"])
-    return criteria, report
-
-
-def exp_hyper(cfg: dict, outdir: str, tag: str):
-    g, times, u0 = experiments.desk_setup(cfg)
-    hyper = ModelSpec("hyper", g, ell=cfg["ell"])
-    traj = solve(ModelSpec("ns", g), u0, times)
-    traj_w = solve(hyper, u0, times)
-    criteria, curves, report = experiments.hyper(cfg, traj, traj_w)
-    lin_criteria, lin_curves, lin_report = experiments.hyper_linear_part(cfg)
-
-    # companion diagnostic: the nonlinear response of the regularized
-    # trajectory under the plain vs regularized propagator (recorded only)
-    b_ns = duhamel_bilinear(traj_w, traj_w, ModelSpec("ns", g))
-    b_h = duhamel_bilinear(traj_w, traj_w, hyper)
-    gap = experiments.difference_curve(b_ns, b_h, 3.0, "weak", "duhamel propagator gap")
-    _write_curves(outdir, {**curves, **lin_curves, "integrand_gap.csv": gap}, tag)
-    return criteria + lin_criteria, {**report, **lin_report}
 
 
 def exp_kernels(cfg: dict, outdir: str, tag: str):
@@ -167,33 +133,10 @@ def exp_kernels(cfg: dict, outdir: str, tag: str):
         os.path.join(outdir, "cl_table.csv"), "ell,value,error_estimate,tail_bound,signed_mass",
         [(r.ell, r.value, r.error_estimate, r.tail_bound, r.signed_mass) for r in cl_rows], tag,
     )
-
-    gg = make_grid(int(cfg["gap_n"]), cfg["gap_L"])
-    gap_ts = np.geomspace(cfg["gap_t_min"], cfg["gap_t_max"], int(cfg["gap_points"]))
-    guards = []
-    rows = []
-    for ell in [float(s) for s in str(cfg["gap_ells"]).split(",")]:
-        curve, missed = experiments.gap_curve(gg, gap_ts, ell)
-        guards.extend(missed)
-        ts, vals = curve.times, curve.values
-        sf = fit_slope(curve, (ts[0], ts[-1]))
-        rows.extend((ell, t, v) for t, v in zip(ts, vals))
-        if ell == 2.0:
-            spread = (vals.max() - vals.min()) / vals.max()
-            criteria.append(Criterion(
-                "gap t-independent within {:g} for ell=2".format(cfg["flat_tol"]),
-                spread <= cfg["flat_tol"], f"relative spread {spread:.2e}"))
-        else:
-            target = -(0.5 - 1.0 / ell)
-            criteria.append(Criterion(
-                f"gap slope {target:.4g} +/- {cfg['slope_tol']:g} for ell={ell:g}",
-                abs(sf.slope - target) <= cfg["slope_tol"],
-                f"fitted {sf.slope:.3f} +/- {sf.stderr:.3f}"))
+    gap_criteria, rows, guards = experiments.semigroup_gap(cfg)
     _write_table(os.path.join(outdir, "gap.csv"), "ell,t,gap", rows, tag)
-    return criteria, {
-        "window_used": [cfg["gap_t_min"], cfg["gap_t_max"]],
-        "guards_triggered": guards,
-    }
+    report = {"window_used": [cfg["gap_t_min"], cfg["gap_t_max"]], "guards_triggered": guards}
+    return criteria + list(gap_criteria.values()), report
 
 
 def exp_landau(cfg: dict, outdir: str, tag: str):
@@ -265,9 +208,7 @@ def exp_norms(cfg: dict, outdir: str, tag: str):
 
 
 EXPERIMENTS = {
-    "stability": exp_stability,
-    "mollified": exp_mollified,
-    "hyper": exp_hyper,
+    **{name: functools.partial(exp_solver, name) for name in ("stability", "mollified", "hyper")},
     "kernels": exp_kernels,
     "landau": exp_landau,
     "norms-selftest": exp_norms,

@@ -1,18 +1,17 @@
 """One definition per experiment, shared by the command line and the acceptance suite.
 
-The measurements turn trajectories or data into one decay curve, or a curve
-into one number.  The judges apply them: each takes an experiment's config
-section and the trajectories its caller solved, reads every threshold and
-window from that section, and returns the criteria, the curves by CSV name
-and the fields it adds to ``report.json``.  The CLI writes what a judge
-returns; the acceptance suite calls the same judge with ``cli.DEFAULTS``
-and asserts that every criterion passes.
+A solver experiment declares the trajectories it solves (``solves``).  The
+measurements turn trajectories or data into one decay curve, or a curve into
+one number.  The judges apply them to an experiment's config section, which
+holds every threshold and window, and to the solved trajectories by name.
+The CLI writes what the judges return; the acceptance suite calls them with
+``cli.DEFAULTS`` and asserts that every criterion passes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .fields import SpectralVectorField, dealias_mask, leray_project
 from .grid import Grid3, make_grid
 from .kernels import ContainmentError, compute_Cl, l1_semigroup_gap
 from .norms import DecayCurve, decay_functional, fit_slope, weak_lp_norm
-from .solver import TimeGridSolution
+from .solver import ModelSpec, TimeGridSolution, duhamel_bilinear, solve
 
 
 @dataclass
@@ -29,6 +28,16 @@ class Criterion:
     name: str
     passed: bool
     detail: str
+    value: float | None = None  # the measured number the detail shows, if any
+
+
+@dataclass
+class Judgement:
+    """A judge's criteria, curves and report.json fields by name, and CSV comment lines."""
+    criteria: list[Criterion]
+    curves: dict[str, DecayCurve] = field(default_factory=dict)
+    report: dict = field(default_factory=dict)
+    comments: dict[str, list[str]] = field(default_factory=dict)
 
 
 def desk_setup(cfg: dict):
@@ -43,6 +52,26 @@ def desk_setup(cfg: dict):
 def mollifier_widths(cfg: dict, grid: Grid3) -> tuple[float, float]:
     """The two mollifier widths of the mollified experiment, in box units."""
     return cfg["kappa_cells"] * grid.dx, cfg["kappa_cells_2"] * grid.dx
+
+
+def solves(name: str, cfg: dict, grid: Grid3, u0: SpectralVectorField) -> dict:
+    """The trajectories solver experiment ``name`` judges, {name: (model, data)}:
+    ns from ``u0`` and the models or data that it compares with ns."""
+    ns = ModelSpec("ns", grid)
+    declared = {"ns": (ns, u0)}
+    if name == "stability":
+        declared["ns_bump"] = (ns, bump_perturbed(u0, cfg["bump_amplitude"], cfg["bump_sigma"]))
+    elif name == "mollified":
+        for key, kappa in zip(("kappa1", "kappa2"), mollifier_widths(cfg, grid)):
+            declared[key] = (ModelSpec("mollified", grid, kappa=kappa), u0)
+    else:
+        declared["hyper"] = (ModelSpec("hyper", grid, ell=cfg["ell"]), u0)
+    return declared
+
+
+def solve_declared(declared: dict, times: np.ndarray) -> dict:
+    """Solve each declared (model, data) on ``times``, by name."""
+    return {key: solve(model, data, times) for key, (model, data) in declared.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +122,12 @@ def _weak3_curve(grid: Grid3, times, spectrum, label: str) -> DecayCurve:
     return DecayCurve(times, np.array(vals), label, 3.0, "weak")
 
 
-def gap_curve(grid: Grid3, times, ell: float) -> tuple[DecayCurve, list[str]]:
-    """The L1 semigroup gap at each time, and one message per time left out.
-
-    A time whose kernels are unresolved or do not fit the box
-    (ContainmentError) is left out of the curve and named in the messages.
-    """
-    ts, vals, guards = [], [], []
-    for t in times:
-        try:
-            vals.append(l1_semigroup_gap(ell, t, grid))
-            ts.append(t)
-        except ContainmentError as exc:
-            guards.append(f"ell={ell:g} t={t:g}: {exc}")
-    return DecayCurve(np.array(ts), np.array(vals), "L1 semigroup gap"), guards
+def propagator_gap(traj: TimeGridSolution, ell: float) -> DecayCurve:
+    """||B(u, u) - B_l(u, u)||_{3,w}: the Duhamel response of a trajectory u
+    under the heat propagator against the hyperviscous one of order l."""
+    b_ns = duhamel_bilinear(traj, traj, ModelSpec("ns", traj.grid))
+    b_h = duhamel_bilinear(traj, traj, ModelSpec("hyper", traj.grid, ell=ell))
+    return difference_curve(b_ns, b_h, 3.0, "weak", "duhamel propagator gap")
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +147,50 @@ def kernel_constants(cfg: dict):
             ok = abs(res.value - 1.0) <= cfg["cl_tol"] and res.error_estimate <= cfg["cl_tol"]
             criteria.append(Criterion(
                 f"C_{ell:g} = 1 +/- {cfg['cl_tol']:g}", ok,
-                f"value {res.value:.6f}, two-resolution gap {res.error_estimate:.1e}"))
+                f"value {res.value:.6f}, two-resolution gap {res.error_estimate:.1e}", res.value))
         else:
             criteria.append(Criterion(
-                f"C_{ell:g} > 1.001", res.value > 1.001, f"value {res.value:.6f}"))
+                f"C_{ell:g} > 1.001", res.value > 1.001, f"value {res.value:.6f}", res.value))
     return criteria, results
 
 
-def stability(cfg: dict, traj: TimeGridSolution, traj_tilde: TimeGridSolution):
-    """The weak-3 difference of two ns trajectories decays with the heat flow
-    of their data difference, and below 1.2 times it, over the window."""
+def semigroup_gap(cfg: dict):
+    """The L1 gap ||p_l(t) * p(t/2) - p(t/2)||_1 is flat for l = 2 and has slope
+    -(1/2 - 1/l) beyond.  Returns the criterion of each l of ``gap_ells``, the
+    rows (l, t, gap) of gap.csv and one message per time left out because its
+    kernels are unresolved or do not fit the box."""
+    grid = make_grid(int(cfg["gap_n"]), cfg["gap_L"])
+    times = np.geomspace(cfg["gap_t_min"], cfg["gap_t_max"], int(cfg["gap_points"]))
+    criteria, rows, guards = {}, [], []
+    for ell in [float(s) for s in str(cfg["gap_ells"]).split(",")]:
+        ts, vals = [], []
+        for t in times:
+            try:
+                vals.append(l1_semigroup_gap(ell, t, grid))
+                ts.append(t)
+            except ContainmentError as exc:
+                guards.append(f"ell={ell:g} t={t:g}: {exc}")
+        curve = DecayCurve(np.array(ts), np.array(vals), "L1 semigroup gap")
+        rows.extend((ell, t, v) for t, v in zip(curve.times, curve.values))
+        if ell == 2.0:
+            spread = (curve.values.max() - curve.values.min()) / curve.values.max()
+            criteria[ell] = Criterion(
+                f"gap t-independent within {cfg['flat_tol']:g} for ell=2",
+                spread < cfg["flat_tol"], f"relative spread {spread:.2e}", spread)
+        else:
+            sf = fit_slope(curve, (curve.times[0], curve.times[-1]))
+            target = -(0.5 - 1.0 / ell)
+            criteria[ell] = Criterion(
+                f"gap slope {target:.4g} +/- {cfg['slope_tol']:g} for ell={ell:g}",
+                abs(sf.slope - target) <= cfg["slope_tol"],
+                f"fitted {sf.slope:.3f} +/- {sf.stderr:.3f}", sf.slope)
+    return criteria, rows, guards
+
+
+def stability(cfg: dict, trajs: dict) -> Judgement:
+    """The weak-3 difference of the trajectories ns and ns_bump decays with the
+    heat flow of their data difference, and below 1.2 times it, over the window."""
+    traj, traj_tilde = trajs["ns"], trajs["ns_bump"]
     diff = difference_curve(traj, traj_tilde, 3.0, "weak", "||u-u~||_{3,w}")
     du0 = traj.node(0).coeffs - traj_tilde.node(0).coeffs
     lin = _weak3_curve(
@@ -149,26 +204,27 @@ def stability(cfg: dict, traj: TimeGridSolution, traj_tilde: TimeGridSolution):
     l_rate = drop_per_decade(lin, lo, hi)
     mask = (diff.times >= lo) & (diff.times <= hi)
     bounded = bool(np.all(diff.values[mask] <= 1.2 * lin.values[mask]))
-    return [
+    return Judgement([
         Criterion(f"difference drop per decade >= {need:g}",
-                  d_rate >= need, f"measured {d_rate:.2f}x"),
+                  d_rate >= need, f"measured {d_rate:.2f}x", d_rate),
         Criterion(f"linear term drop per decade >= {need:g}",
-                  l_rate >= need, f"measured {l_rate:.2f}x"),
+                  l_rate >= need, f"measured {l_rate:.2f}x", l_rate),
         Criterion("linear term bounds the difference trend",
                   bounded, "pointwise diff <= 1.2 * linear in window"),
-    ], {"difference.csv": diff, "linear.csv": lin}, {"window_used": [lo, hi]}
+    ], {"difference.csv": diff, "linear.csv": lin}, {"window_used": [lo, hi]})
 
 
-def mollified(cfg: dict, traj: TimeGridSolution, traj1: TimeGridSolution, traj2: TimeGridSolution):
-    """The L^p difference between an ns trajectory and its mollified ones
+def mollified(cfg: dict, trajs: dict) -> Judgement:
+    """The L^p difference between the ns trajectory and the mollified ones
     (widths ``mollifier_widths``) decays over the window, and the wider
     mollifier differs more before it."""
-    kap1, kap2 = mollifier_widths(cfg, traj.grid)
-    curves = {
-        f"difference_{name}_p{cfg[p]:g}.csv": difference_curve(traj, other, cfg[p], "lp")
-        for name, other in (("kappa1", traj1), ("kappa2", traj2))
-        for p in ("p", "p2")
-    }
+    kap1, kap2 = mollifier_widths(cfg, trajs["ns"].grid)
+    curves, comments = {}, {}
+    for name, kap in (("kappa1", kap1), ("kappa2", kap2)):
+        for p in ("p", "p2"):
+            csv = f"difference_{name}_p{cfg[p]:g}.csv"
+            curves[csv] = difference_curve(trajs["ns"], trajs[name], cfg[p], "lp")
+            comments[csv] = [f"kappa={kap!r}"]
     lo, hi, need = cfg["window_lo"], cfg["window_hi"], cfg["drop_per_decade"]
     c1 = curves[f"difference_kappa1_p{cfg['p']:g}.csv"]
     c2 = curves[f"difference_kappa2_p{cfg['p']:g}.csv"]
@@ -176,34 +232,34 @@ def mollified(cfg: dict, traj: TimeGridSolution, traj1: TimeGridSolution, traj2:
     window = c1.values[(c1.times >= lo) & (c1.times <= hi)]
     monotone = bool(np.all(np.diff(window) <= 1e-3 * window[:-1]))  # no rise above 0.1 %
     early = c1.times < lo
-    return [
+    return Judgement([
         Criterion("difference functional monotone decreasing in window",
                   monotone, f"window [{lo}, {hi}]"),
         Criterion(f"difference drop per decade >= {need:g}",
-                  rate >= need, f"measured {rate:.2f}x"),
+                  rate >= need, f"measured {rate:.2f}x", rate),
         Criterion("larger kappa gives larger early-time difference",
                   bool(np.all(c2.values[early] >= c1.values[early])),
                   f"kappa {kap2:g} vs {kap1:g} before t={lo}"),
-    ], curves, {"window_used": [lo, hi]}
+    ], curves, {"window_used": [lo, hi]}, comments)
 
 
-def hyper(cfg: dict, traj: TimeGridSolution, traj_w: TimeGridSolution):
-    """The weak-3 difference between an ns trajectory and its hyperviscous
+def hyper(cfg: dict, trajs: dict) -> Judgement:
+    """The weak-3 difference between the ns trajectory and the hyperviscous
     one decays over the window; the L^p difference is recorded too."""
-    diff = difference_curve(traj, traj_w, 3.0, "weak", "||u-w||_{3,w}")
+    diff = difference_curve(trajs["ns"], trajs["hyper"], 3.0, "weak", "||u-w||_{3,w}")
     lo, hi, need = cfg["window_lo"], cfg["window_hi"], cfg["drop_per_decade"]
     fit_slope(diff, (lo, hi))
     rate = drop_per_decade(diff, lo, hi)
-    return [
+    return Judgement([
         Criterion(f"difference drop per decade >= {need:g}",
-                  rate >= need, f"measured {rate:.2f}x"),
+                  rate >= need, f"measured {rate:.2f}x", rate),
     ], {
         "difference_weak3.csv": diff,
-        f"difference_p{cfg['p']:g}.csv": difference_curve(traj, traj_w, cfg["p"], "lp"),
-    }, {"window_used": [lo, hi]}
+        f"difference_p{cfg['p']:g}.csv": difference_curve(trajs["ns"], trajs["hyper"], cfg["p"], "lp"),
+    }, {"window_used": [lo, hi]})
 
 
-def hyper_linear_part(cfg: dict):
+def hyper_linear_part(cfg: dict) -> Judgement:
     """||(S_l(t) - 1) S(t) f||_{3,w} on the large box decays with slope
     -(1/2 - 1/l) over its window.
 
@@ -232,8 +288,17 @@ def hyper_linear_part(cfg: dict):
     )
     sf = fit_slope(lin, (lts[0], lts[-1]))
     target = -(0.5 - 1.0 / ell)
-    return [
+    return Judgement([
         Criterion(f"linear-part slope {target:g} +/- {cfg['slope_tol']:g}",
                   abs(sf.slope - target) <= cfg["slope_tol"],
-                  f"fitted {sf.slope:.3f} +/- {sf.stderr:.3f}"),
-    ], {"linear_part.csv": lin}, {"linear_window_used": [float(lts[0]), float(lts[-1])]}
+                  f"fitted {sf.slope:.3f} +/- {sf.stderr:.3f}", sf.slope),
+    ], {"linear_part.csv": lin}, {"linear_window_used": [float(lts[0]), float(lts[-1])]})
+
+
+def judgements(name: str, cfg: dict, trajs: dict) -> list[Judgement]:
+    """What solver experiment ``name`` writes, from the trajectories it declares."""
+    if name != "hyper":
+        return [{"stability": stability, "mollified": mollified}[name](cfg, trajs)]
+    # hyper also records the propagator gap along its hyperviscous trajectory
+    return [hyper(cfg, trajs), hyper_linear_part(cfg),
+            Judgement([], {"integrand_gap.csv": propagator_gap(trajs["hyper"], cfg["ell"])})]

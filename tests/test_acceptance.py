@@ -6,30 +6,35 @@ The three hyperviscous semigroup-gap slope tests encode the claimed rate
 fail by construction; see the kernel unit tests for the verification of
 the claim as an upper bound.
 
-Criteria 2 and 8-10 are judged by the judges of ``mildns.experiments``
-with the thresholds and windows of ``cli.DEFAULTS``, the code the CLI
-runs; criteria 4 and 5 run the CLI itself.  The desk-scale solves use the
-CLI's grid and data on its time grid plus the nodes t = 1 and 4.
+Criteria 2, 3 and 8-10 are judged by the judges of ``mildns.experiments``
+with the thresholds and windows of ``cli.DEFAULTS``, and what they measure
+must match ``desk_reference.json``; criteria 4 and 5 run the CLI itself.
+The desk-scale trajectories are those the experiments declare, each solved
+once, on the CLI's grid, data and time grid plus the nodes t = 1 and 4.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from desk_reference import GAP_CONFIG, acceptance_desk, assert_pinned, gap_numbers, node_norms, numbers
 from mildns import experiments
 from mildns.cli import DEFAULTS, main
 from mildns.exact import rescale
-from mildns.experiments import gap_curve
 from mildns.fields import SpectralVectorField, dealias, dealias_mask, leray_project
 from mildns.grid import make_grid
-from mildns.norms import decay_functional, fit_slope
+from mildns.norms import decay_functional
 from mildns.solver import ModelSpec, etd_march, solve
 from test_fields import spectral_convolution
 from test_solver import taylor_green
 
 
-def assert_all_pass(criteria):
-    failed = [f"{c.name} [{c.detail}]" for c in criteria if not c.passed]
+def assert_judged(section, judged):
+    """Every criterion of a judgement passes, and its numbers match the reference."""
+    failed = [f"{c.name} [{c.detail}]" for c in judged.criteria if not c.passed]
     assert not failed, "failed: " + "; ".join(failed)
+    assert_pinned(section, numbers(judged))
 
 
 # ---------------------------------------------------------------------------
@@ -38,16 +43,25 @@ def assert_all_pass(criteria):
 
 @pytest.fixture(scope="module")
 def desk():
-    # every solver section of DEFAULTS has the same grid, times and data;
-    # t = 1 and 4 are the rescaling pair of criterion 7
-    g, times, u0 = experiments.desk_setup(DEFAULTS["stability"])
-    return g, np.unique(np.concatenate([times, [1.0, 4.0]])), u0
+    return acceptance_desk()
 
 
 @pytest.fixture(scope="module")
 def ns_traj(desk):
     g, times, u0 = desk
-    return solve(ModelSpec("ns", g), u0, times)
+    ns = experiments.solves("stability", DEFAULTS["stability"], g, u0)["ns"]
+    return experiments.solve_declared({"ns": ns}, times)["ns"]
+
+
+def assert_desk_experiment(name, desk, ns_traj):
+    """The judge of experiment ``name`` on the trajectories it declares."""
+    g, times, u0 = desk
+    declared = experiments.solves(name, DEFAULTS[name], g, u0)
+    del declared["ns"]  # every solver experiment declares it: it is solved once
+    trajs = {"ns": ns_traj, **experiments.solve_declared(declared, times)}
+    for key, traj in trajs.items():
+        assert_pinned(f"trajectory {key}", {"node_l2": node_norms(traj)})
+    assert_judged(name, getattr(experiments, name)(DEFAULTS[name], trajs))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +104,7 @@ def test_criterion_01_projector_transform_suite(n):
 def test_criterion_02_kernel_constants():
     cfg = DEFAULTS["kernels"]
     criteria, results = experiments.kernel_constants(cfg)
-    assert_all_pass(criteria)
+    assert_judged("kernel_constants", experiments.Judgement(criteria))
     # the two resolutions agree also where C_l is only bounded from below
     assert all(res.error_estimate <= cfg["cl_tol"] for res in results)
 
@@ -100,27 +114,21 @@ def test_criterion_02_kernel_constants():
 
 
 @pytest.fixture(scope="module")
-def gap_curves():
-    g = make_grid(256, 64.0)
-    ts = np.geomspace(1.0, 64.0, 7)
-    return {ell: gap_curve(g, ts, ell) for ell in (2.0, 3.0, 4.0, 6.0)}
-
-
-def test_criterion_03_gap_invariance_ell2(gap_curves):
-    curve, guards = gap_curves[2.0]
+def gap():
+    criteria, rows, guards = experiments.semigroup_gap(GAP_CONFIG)
     assert not guards, guards
-    vals = curve.values
-    assert (vals.max() - vals.min()) / vals.max() < 0.01
+    assert_pinned("semigroup_gap", gap_numbers(criteria, rows))
+    return criteria
+
+
+def test_criterion_03_gap_invariance_ell2(gap):
+    assert gap[2.0].passed, gap[2.0].detail
 
 
 @pytest.mark.parametrize("ell", [3.0, 4.0, 6.0])
-def test_criterion_03_gap_slope(gap_curves, ell):
-    curve, guards = gap_curves[ell]
-    assert not guards, guards
-    sf = fit_slope(curve, (curve.times[0], curve.times[-1]))
-    target = -(0.5 - 1.0 / ell)
-    assert abs(sf.slope - target) <= 0.05, (
-        f"ell={ell}: fitted slope {sf.slope:.3f} vs claimed {target:.3f}; "
+def test_criterion_03_gap_slope(gap, ell):
+    assert gap[ell].passed, (
+        f"ell={ell}: fitted slope {gap[ell].value:.3f} vs claimed {-(0.5 - 1.0 / ell):.3f}; "
         "the measured decay is faster than the claimed rate"
     )
 
@@ -139,6 +147,7 @@ def test_criterion_04_landau_residuals(tmp_path):
 
 def test_criterion_05_weak_norm_suite(tmp_path):
     assert main(["norms-selftest", "--out", str(tmp_path / "out")]) == 0
+    assert len(json.loads((tmp_path / "out" / "report.json").read_text())["criteria"]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +238,8 @@ def test_criterion_07_rescaling_consistency(ns_traj):
 # 8. mollified difference functional
 
 
-@pytest.fixture(scope="module")
-def mollified_trajs(desk):
-    g, times, u0 = desk
-    return tuple(
-        solve(ModelSpec("mollified", g, kappa=kappa), u0, times)
-        for kappa in experiments.mollifier_widths(DEFAULTS["mollified"], g)
-    )
-
-
-def test_criterion_08_mollified_convergence(ns_traj, mollified_trajs):
-    assert_all_pass(experiments.mollified(DEFAULTS["mollified"], ns_traj, *mollified_trajs)[0])
+def test_criterion_08_mollified_convergence(desk, ns_traj):
+    assert_desk_experiment("mollified", desk, ns_traj)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +247,11 @@ def test_criterion_08_mollified_convergence(ns_traj, mollified_trajs):
 
 
 def test_criterion_09_hyper_difference(desk, ns_traj):
-    g, times, u0 = desk
-    cfg = DEFAULTS["hyper"]
-    traj_w = solve(ModelSpec("hyper", g, ell=cfg["ell"]), u0, times)
-    assert_all_pass(experiments.hyper(cfg, ns_traj, traj_w)[0])
+    assert_desk_experiment("hyper", desk, ns_traj)
 
 
 def test_criterion_09_linear_part_slope():
-    assert_all_pass(experiments.hyper_linear_part(DEFAULTS["hyper"])[0])
+    assert_judged("hyper_linear_part", experiments.hyper_linear_part(DEFAULTS["hyper"]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +259,4 @@ def test_criterion_09_linear_part_slope():
 
 
 def test_criterion_10_stability(desk, ns_traj):
-    g, times, u0 = desk
-    cfg = DEFAULTS["stability"]
-    u0_tilde = experiments.bump_perturbed(u0, cfg["bump_amplitude"], cfg["bump_sigma"])
-    traj_tilde = solve(ModelSpec("ns", g), u0_tilde, times)
-    assert_all_pass(experiments.stability(cfg, ns_traj, traj_tilde)[0])
+    assert_desk_experiment("stability", desk, ns_traj)

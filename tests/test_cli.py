@@ -57,14 +57,6 @@ def test_landau_subcommand_passes(tmp_path):
     assert f"# config={report['config_hash']}" in csv
 
 
-def test_norms_selftest_passes(tmp_path):
-    out = tmp_path / "out"
-    code = main(["norms-selftest", "--out", str(out)])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert len(report["criteria"]) == 4
-
-
 def test_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["landau", "--out", str(out1), "--seed", "3"]) == 0
@@ -137,12 +129,6 @@ def test_kernels_experiment_is_byte_identical(tmp_path, monkeypatch):
     assert not reports[0]["guards_triggered"]
     assert csvs[0] == csvs[1] == csvs[2]
     assert reports[0] == reports[1] == reports[2]
-
-
-def test_threads_flag(tmp_path, monkeypatch):
-    monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
-    out = tmp_path / "out"
-    assert main(["norms-selftest", "--out", str(out), "--threads", "1"]) == 0
 
 
 def test_failure_exit_code(tmp_path):
