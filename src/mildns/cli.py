@@ -228,7 +228,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         if "seed" in DEFAULTS[SECTION[name]]:
             p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--threads", type=int, default=None, help="FFT worker cap")
+        p.add_argument(
+            "--threads", type=int, default=None, help="threads for transforms; 1 runs serially"
+        )
     args = parser.parse_args(argv)
 
     if args.threads is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid3
+from .grid import Grid3, map_transforms
 
 DIV_TOL = 1e-10  # per-mode relative solenoidality tolerance
 
@@ -154,33 +154,39 @@ def nonlinear_term(u: SpectralVectorField, v: SpectralVectorField) -> SpectralVe
     u and v may be half spectra or band blocks (``Grid3.band``); the result
     has u's layout.  When v is u (the same object), u is transformed once
     and only the six distinct products of the symmetric tensor are formed
-    and transformed.  Each product is transformed to the band's z-columns,
-    cut to the band, and added into the divergence i xi_k (u_i v_k)^ in k
-    order; the Leray projection acts on the band alone, and a half-spectrum
-    result is zero outside it.  The values are those of
-    ``leray_project(dealias(...))`` of the full-spectrum divergence.
+    and transformed.  The component transforms, and then the products with
+    their transforms to the band's z-columns, run side by side through
+    ``grid.map_transforms``.  Each product, cut to the band, is then added
+    into the divergence i xi_k (u_i v_k)^ in k order in the calling thread,
+    so the thread count does not move a bit.  The Leray projection acts on
+    the band alone, and a half-spectrum result is zero outside it.  The
+    values are those of ``leray_project(dealias(...))`` of the
+    full-spectrum divergence.
     """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
     band = g.band
-    up = u.to_physical()
-    if u is v:
-        vp, products = up, _SYMMETRIC_PRODUCTS
-    else:
-        vp, products = v.to_physical(), _ALL_PRODUCTS
+    products = _SYMMETRIC_PRODUCTS if u is v else _ALL_PRODUCTS
+    phys = map_transforms(g.backward, [*u.coeffs] if u is v else [*u.coeffs, *v.coeffs])
+    up, vp = phys[:3], phys[-3:]
+
+    def transformed(product):
+        (i, k), _ = product
+        return band.gather(g.forward(up[i] * vp[k], kz_keep=band.kept))
+
+    hats = map_transforms(transformed, products)
+    del phys, up, vp  # free the physical fields before the band arithmetic
     kvecs = (band.kx, band.ky, band.kz)
     div = np.empty((3,) + band.shape, dtype=complex)
     term = np.empty(band.shape, dtype=complex)
-    prod = np.empty(g.physical_shape)
-    for (i, k), entries in products:
-        uv_hat = band.gather(g.forward(np.multiply(up[i], vp[k], out=prod), kz_keep=band.kept))
+    for (_, entries), uv_hat in zip(products, hats):
         for row, col in entries:
             if col == 0:
                 np.multiply(kvecs[0], uv_hat, out=div[row])
             else:
                 div[row] += np.multiply(kvecs[col], uv_hat, out=term)
-    del up, vp, prod, uv_hat, term  # free each intermediate once used
+    del hats, term
     div *= 1j
     _leray_apply(kvecs, band.k_sq, div, out=div)
     if u.coeffs.shape[-3:] != band.shape:

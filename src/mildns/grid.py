@@ -6,11 +6,23 @@ frequencies), which bakes Hermitian symmetry into the representation.
 Solver trajectories are zero outside the 2/3-rule band and store only the
 band's block of that layout (``Grid3.band``); the inverse transform and the
 energy accept either layout and tell them apart by shape.
+
+This module owns the transform threading policy.  ``_FFT_WORKERS`` caps
+the threads that run transforms (-1: one per core; 1: everything runs
+serially in the calling thread).  Half-spectrum transforms hand it to
+pocketfft, whose own threads pay off from about 128^3.  Band-block
+transforms run on one pocketfft thread each; ``map_transforms`` puts the
+second core to work by running several of them at once, one in the
+calling thread and the others in a pool.  Results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.fft
@@ -19,11 +31,69 @@ _FFT_WORKERS = -1
 
 
 def set_fft_workers(k: int):
-    """Cap the FFT worker count (-1 means all cores)."""
+    """Cap the threads that run transforms: -1 means one per core, 1 runs serially.
+
+    The cap applies to pocketfft's threads on half-spectrum transforms and
+    to the threads ``map_transforms`` shares its calls between.
+    """
     global _FFT_WORKERS
     if k == 0 or k < -1:
         raise ValueError(f"worker count must be positive or -1, got {k}")
     _FFT_WORKERS = int(k)
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The transform pool, built on first use: one thread per core but the caller's."""
+    return ThreadPoolExecutor(max_workers=max(_cores() - 1, 1), thread_name_prefix="mildns")
+
+
+def map_transforms(fn, items) -> list:
+    """[fn(x) for x in items], shared between the calling thread and the pool.
+
+    The caller and each pooled helper take the next index from one queue, so
+    a slow call does not hold up the others, and the results come back in
+    item order.  The values are those of the serial loop, which the caller
+    runs alone when ``_FFT_WORKERS`` is 1 or one core is available.  An
+    exception raised by fn stops the remaining calls and reaches the caller
+    as itself, once every helper has returned.
+    """
+    items = list(items)
+    threads = _cores() if _FFT_WORKERS == -1 else min(_FFT_WORKERS, _cores())
+    helpers = min(threads, len(items)) - 1
+    if helpers <= 0:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    todo = deque(range(len(items)))  # popleft is atomic: each index is taken once
+
+    def drain():
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException:
+                todo.clear()
+                raise
+
+    futures = [_pool().submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # a helper that has not started would find nothing left: cancel it, wait for the rest
+        errors = [f.exception() for f in futures if not f.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def check_grid_size(n: int, box_length: float):
@@ -75,9 +145,10 @@ class Grid3:
         """Real physical samples -> unnormalized rfftn coefficients.
 
         With ``kz_keep`` only the z-frequencies 0 .. kz_keep-1 are returned
-        and the x and y transforms run on those columns alone.  rfftn does
-        the same three passes in the same order, so the values equal the
-        first kz_keep columns of the full transform bit for bit.
+        and the x and y transforms run on those columns alone, on one
+        pocketfft thread (``map_transforms`` runs such calls side by side).
+        rfftn does the same three passes in the same order, so the values
+        equal the first kz_keep columns of the full transform bit for bit.
         """
         if samples.shape[-3:] != self.physical_shape:
             raise ValueError(
@@ -85,8 +156,8 @@ class Grid3:
             )
         if kz_keep is None:
             return scipy.fft.rfftn(samples, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-        half = scipy.fft.rfft(samples, axis=-1, workers=_FFT_WORKERS)[..., :kz_keep]
-        return scipy.fft.fftn(half, axes=(-3, -2), workers=_FFT_WORKERS, overwrite_x=True)
+        half = scipy.fft.rfft(samples, axis=-1, workers=1)[..., :kz_keep]
+        return scipy.fft.fftn(half, axes=(-3, -2), workers=1, overwrite_x=True)
 
     @cached_property
     def band(self) -> "Band":
@@ -96,12 +167,13 @@ class Grid3:
     def backward(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`, from the half spectrum or a band block.
 
-        A band block is padded to the kept z-columns only: the x and y
-        passes run there, and the z pass treats the other columns as zero.
-        The passes are unnormalized and the result is scaled once by
-        irfftn's factor 1/n^3, rounded from extended precision as pocketfft
-        rounds it, so the values equal irfftn of the padded half spectrum
-        bit for bit.
+        A band block is padded to the half spectrum, the x and y passes run
+        in place on its kept z-columns alone (the others stay zero), and the
+        z pass runs on the padded array as it stands, all on one pocketfft
+        thread.  The passes are unnormalized and the result is scaled once
+        by irfftn's factor 1/n^3, rounded from extended precision as
+        pocketfft rounds it, so the values equal irfftn of the padded half
+        spectrum bit for bit.
         """
         shape = coeffs.shape[-3:]
         if shape == self.spectral_shape:
@@ -112,11 +184,14 @@ class Grid3:
             raise ValueError(
                 f"coefficient shape {coeffs.shape} does not match grid n={self.n}"
             )
-        half = scipy.fft.ifftn(
-            self.band.pad(coeffs, self.band.kept), axes=(-3, -2), norm="forward",
-            overwrite_x=True, workers=_FFT_WORKERS,
+        padded = self.band.pad(coeffs)
+        # in place: with overwrite_x pocketfft writes into the complex view
+        # itself (the bit-for-bit test against irfftn fails if it stops)
+        scipy.fft.ifftn(
+            padded[..., : self.band.kept], axes=(-3, -2), norm="forward",
+            overwrite_x=True, workers=1,
         )
-        out = scipy.fft.irfft(half, n=self.n, axis=-1, norm="forward", workers=_FFT_WORKERS)
+        out = scipy.fft.irfft(padded, n=self.n, axis=-1, norm="forward", workers=1)
         out *= float(1 / np.longdouble(self.n**3))
         return out
 
@@ -175,10 +250,9 @@ class Band:
         """The band block of coefficients of shape (..., n, n, >= kept)."""
         return coeffs[..., self.rows[:, None], self.rows, : self.kept]
 
-    def pad(self, block: np.ndarray, columns: int | None = None) -> np.ndarray:
-        """block in zeros of shape (..., n, n, columns); columns default n//2 + 1."""
-        columns = self.n // 2 + 1 if columns is None else columns
-        out = np.zeros(block.shape[:-3] + (self.n, self.n, columns), dtype=block.dtype)
+    def pad(self, block: np.ndarray) -> np.ndarray:
+        """block in zeros of the half-spectrum shape (..., n, n, n//2 + 1)."""
+        out = np.zeros(block.shape[:-3] + (self.n, self.n, self.n // 2 + 1), dtype=block.dtype)
         out[..., self.rows[:, None], self.rows, : self.kept] = block
         return out
 

@@ -185,11 +185,16 @@ def duhamel_bilinear(
         return model.nonlinear(um, um if v is u else SpectralVectorField(g, v.coeffs[m])).coeffs
 
     g_old = integrand(0)
+    local, tmp = (np.empty_like(g_old) for _ in range(2))  # band buffers, reused
     for m in range(1, len(u.times)):
         dt = u.times[m] - u.times[m - 1]
         decay, w_new, w_old = _interval_weights(mu, dt)
         g_new = integrand(m)
-        out.coeffs[m] = decay * out.coeffs[m - 1] - (w_new * g_new + w_old * g_old)
+        # B_m = decay B_{m-1} - (w_new g_new + w_old g_old), in that order
+        np.multiply(w_new, g_new, out=local)
+        local += np.multiply(w_old, g_old, out=tmp)
+        np.multiply(decay, out.coeffs[m - 1], out=tmp)
+        np.subtract(tmp, local, out=out.coeffs[m])
         g_old = g_new
     return out
 

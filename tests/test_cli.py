@@ -91,7 +91,9 @@ SMALL_INI = "n = 16\nL = 10.0\nM = 8\n"
     ],
 )
 def test_solver_experiment_is_byte_identical(tmp_path, monkeypatch, command, extra, n_csv):
-    # reruns and FFT worker counts give the same CSV bytes and criteria
+    # reruns give the same CSV bytes and criteria, and so do the serial path
+    # (--threads 1) and the pooled one (--threads 2), whose nonlinear evaluations
+    # share their transforms between the calling thread and a pool thread
     monkeypatch.setattr(grid, "_FFT_WORKERS", grid._FFT_WORKERS)  # restored afterwards
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\n{SMALL_INI}{extra}")

@@ -13,6 +13,7 @@ from mildns.fields import (
     nonlinear_term,
     mollified_nonlinear_term,
 )
+from mildns import grid
 from mildns.grid import make_grid
 from mildns.kernels import mollifier_symbol
 from mildns.solver import ModelSpec
@@ -280,3 +281,31 @@ def test_band_nonlinear_term_is_the_block_of_the_half_spectrum_one():
                           nonlinear_term(full_u, full_v).coeffs)
     assert np.array_equal(g.band.pad(nonlinear_term(u, u).coeffs),
                           nonlinear_term(full_u, full_u).coeffs)
+
+
+@pytest.mark.parametrize("layout", ["band", "half"])
+def test_nonlinear_term_has_the_same_bits_serial_and_pooled(monkeypatch, layout):
+    # --threads 1 runs every transform in the calling thread, 2 shares them with the pool
+    g = make_grid(16, 5.0)
+    u, v = band_field(g, 50), band_field(g, 51)
+    if layout == "half":
+        u, v = (SpectralVectorField(g, g.band.pad(f.coeffs)) for f in (u, v))
+    results = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(grid, "_FFT_WORKERS", threads)
+        results[threads] = [nonlinear_term(u, u).coeffs, nonlinear_term(u, v).coeffs]
+    for serial, pooled in zip(results[1], results[2]):
+        assert np.array_equal(serial.view(np.uint8), pooled.view(np.uint8))
+
+
+def test_a_failed_pooled_evaluation_raises_its_error_and_the_next_one_works(monkeypatch):
+    monkeypatch.setattr(grid, "_FFT_WORKERS", 2)
+    g = make_grid(16, 5.0)
+    u = band_field(g, 52)
+    wrong = SpectralVectorField(g, np.ones((3, 5, 5, 5), dtype=complex))
+    with pytest.raises(ValueError, match="does not match grid"):
+        nonlinear_term(wrong, u)
+    monkeypatch.setattr(grid, "_FFT_WORKERS", 1)
+    serial = nonlinear_term(u, u).coeffs
+    monkeypatch.setattr(grid, "_FFT_WORKERS", 2)
+    assert np.array_equal(nonlinear_term(u, u).coeffs, serial)

@@ -1,8 +1,13 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from mildns import grid
 from mildns.fields import dealias_mask
-from mildns.grid import Grid3, make_grid, set_fft_workers
+from mildns.grid import Grid3, make_grid, map_transforms, set_fft_workers
 
 
 def test_rejects_bad_sizes():
@@ -121,3 +126,53 @@ def test_fft_worker_setting():
     assert np.array_equal(one, many)
     with pytest.raises(ValueError):
         set_fft_workers(0)
+
+
+def test_map_transforms_raises_a_helper_error_as_itself(monkeypatch):
+    # the caller sleeps on item 0, so the pooled helper takes item 1 and raises
+    monkeypatch.setattr(grid, "_cores", lambda: 2)
+    monkeypatch.setattr(grid, "_FFT_WORKERS", 2)
+    error = ValueError("shape mismatch in a helper")
+
+    def fn(x):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.2)
+            return x
+        raise error
+
+    with pytest.raises(ValueError) as caught:
+        map_transforms(fn, [0, 1])
+    assert caught.value is error
+    assert map_transforms(lambda x: -x, range(5)) == [0, -1, -2, -3, -4]
+
+
+def test_map_transforms_takes_each_item_once_under_contention(monkeypatch):
+    # more threads than cores and a tiny switch interval: a lost or doubled
+    # index would show as a missing result or a repeated call
+    monkeypatch.setattr(grid, "_cores", lambda: 8)
+    monkeypatch.setattr(grid, "_FFT_WORKERS", -1)
+    grid._pool.cache_clear()  # a 7-thread pool for this test only
+    calls, failures = [], []
+
+    def run():
+        try:
+            for _ in range(20):
+                calls.clear()
+                got = map_transforms(lambda x: calls.append(x) or x * x, range(200))
+                if got != [x * x for x in range(200)] or sorted(calls) != list(range(200)):
+                    failures.append((got, sorted(calls)))
+        except Exception as exc:  # reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        grid._pool().shutdown()
+        grid._pool.cache_clear()
+    assert not failures

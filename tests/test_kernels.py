@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mildns
 from mildns.fields import SpectralVectorField
 from mildns.grid import make_grid
 from mildns.kernels import (
@@ -190,3 +194,13 @@ def test_mollifier_smooths_a_field():
     before = np.abs(f.coeffs[:, hi]).sum()
     after = np.abs(smoothed[:, hi]).sum()
     assert after < 0.5 * before
+
+
+def test_solving_does_not_load_the_quadrature_modules():
+    # scipy.integrate adds about 25 MB to every process; only C_l and p_l need it
+    code = "import sys, mildns.solver, mildns.cli; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(mildns.__file__))  # the tree under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
