@@ -33,7 +33,7 @@ from .fields import leray_project  # noqa: F401
 from .grid import Grid3
 from .kernels import mollifier_symbol
 
-TOL = 1e-9  # Picard stops once a node's update is this small, relative to max-node ||y||_2
+TOL = 1e-9  # Picard's node error bounds sum to at most this, relative to max-node ||y||_2
 MAX_ITERATIONS = 60  # Picard iterations allowed per node
 
 
@@ -222,45 +222,67 @@ def picard_solve(y: TimeGridSolution, model: ModelSpec) -> TimeGridSolution:
 
     Once nodes 0..m-1 are final, the product-integration rule leaves
     u_m = base_m - w_new N(u_m) with base_m = y_m + decay B_{m-1} -
-    w_old N_{m-1}.  From the explicit predictor base_m - w_new N_{m-1},
-    iterate u <- base_m - w_new N(u), one nonlinear evaluation each, until
-    ||delta u||_2 <= TOL * max-node ||y||_2, and keep the last update.  At
-    most ``MAX_ITERATIONS`` iterations per node; a non-finite residual, one
-    that grows over 3 consecutive iterations, or no convergence raises
-    PicardDivergenceError naming the node.  ``meta`` records iterations
-    per node, the per-iteration maximum residual over nodes, the largest
-    last-step contraction ratio, the number of nonlinear evaluations and
-    the trajectory's storage.  ``y`` and the result hold band blocks.
-    Raises ValueError when ``y.times`` fail ``_check_times``.
+    w_old N_{m-1}.  The predictor is base_m - w_new N_pred, with N
+    extrapolated linearly in time, N_pred = N_{m-1} + (dt_m / dt_{m-1})
+    (N_{m-1} - N_{m-2}), and N_pred = N_0 at node 1.  Then iterate
+    u <- base_m - w_new N(u), one nonlinear evaluation each, and keep the
+    last update.  With res_k = ||u_{k+1} - u_k||_2 / max-node ||y||_2 and
+    q = res_k / res_{k-1}, Banach's a-posteriori bound gives
+    ||u* - u_{k+1}|| <= q / (1 - q) res_k; a node stops after iteration
+    k >= 2 once q < 1 and that bound is at most TOL / M, M the number of
+    intervals, so the node bounds sum to at most TOL (or at once on a zero
+    residual, an exact fixed point).  At most ``MAX_ITERATIONS`` iterations
+    per node; a non-finite residual, one that grows over 3 consecutive
+    iterations, or no convergence raises PicardDivergenceError naming the
+    node.  ``meta`` records iterations per node, each node's last ratio
+    ``node_ratios`` and bound ``node_bounds``, the per-iteration maximum
+    residual over nodes, the largest node ratio, the number of nonlinear
+    evaluations and the trajectory's storage.  ``y`` and the result hold
+    band blocks.  Raises ValueError when ``y.times`` fail ``_check_times``.
     """
-    _check_times(y.times)
+    times = _check_times(y.times)
     mu = model.dissipation_exponent()
     y_scale = y.max_l2() or 1.0  # zero data: every residual is exactly 0
+    target = TOL / max(len(times) - 1, 1)
     out = TimeGridSolution(y.grid, y.times, np.empty_like(y.coeffs), {})
     out.coeffs[0] = y.coeffs[0]
     f = SpectralVectorField(y.grid, out.coeffs[0], is_solenoidal=True)
     n = model.nonlinear(f, f).coeffs  # the last evaluated N
-    b = np.zeros_like(y.coeffs[0])
-    u, u_new, tmp = (np.empty_like(b) for _ in range(3))  # node buffers, reused
-    history, ratios = [], [0.0]
-    for m in range(1, len(y.times)):
-        t = y.times[m]
-        decay, w_new, w_old = _interval_weights(mu, t - y.times[m - 1])
-        base = y.coeffs[m] + decay * b - w_old * n
-        np.subtract(base, np.multiply(w_new, n, out=tmp), out=u)
-        res = []
-        while not res or res[-1] > TOL:
+    b = np.zeros_like(y.coeffs[0])  # B_{m-1}, turned into base_m in place
+    u, u_new, tmp, n_old = (np.empty_like(b) for _ in range(4))  # node buffers, reused
+    history, node_ratios, node_bounds = [], [], []
+    for m in range(1, len(times)):
+        t, dt = times[m], times[m] - times[m - 1]
+        decay, w_new, w_old = _interval_weights(mu, dt)
+        base = b
+        base *= decay
+        base += y.coeffs[m]
+        base -= np.multiply(w_old, n, out=tmp)
+        pred = n
+        if m > 1:  # extrapolate N linearly in time
+            pred = np.subtract(n, n_old, out=tmp)
+            pred *= dt / (times[m - 1] - times[m - 2])
+            pred += n
+        np.subtract(base, np.multiply(w_new, pred, out=tmp), out=u)
+        np.copyto(n_old, n)  # N_{m-1}, for the next node's predictor
+        res, q, bound = [], 0.0, 0.0
+        while True:
             f = SpectralVectorField(y.grid, u, is_solenoidal=True)
             n = model.nonlinear(f, f).coeffs
             np.subtract(base, np.multiply(w_new, n, out=tmp), out=u_new)
             step = SpectralVectorField(y.grid, np.subtract(u_new, u, out=tmp))
             res.append(step.l2_norm() / y_scale)
             u, u_new = u_new, u
+            if len(res) > 1:  # res[-2] > 0, or the node would have stopped
+                q = res[-1] / res[-2]
+                bound = q / (1.0 - q) * res[-1] if q < 1 else np.inf
             if not np.isfinite(res[-1]):
                 why = "non-finite residual"
             elif len(res) > 3 and res[-1] > res[-2] > res[-3] > res[-4]:
                 why = "residual grew over 3 consecutive iterations"
-            elif len(res) >= MAX_ITERATIONS and res[-1] > TOL:
+            elif res[-1] == 0 or (len(res) > 1 and bound <= target):
+                break
+            elif len(res) >= MAX_ITERATIONS:
                 why = f"no convergence in {MAX_ITERATIONS} iterations"
             else:
                 continue
@@ -268,15 +290,17 @@ def picard_solve(y: TimeGridSolution, model: ModelSpec) -> TimeGridSolution:
         out.coeffs[m] = u
         np.subtract(u, y.coeffs[m], out=b)
         history.append(res)
-        if len(res) > 1:
-            ratios.append(res[-1] / res[-2])
+        node_ratios.append(q)
+        node_bounds.append(bound)
     iterations = [len(r) for r in history]
     sweeps = max(iterations, default=0)
     out.meta = {
         "iterations": iterations,
         "nonlinear_evals": sum(iterations) + 1,
         "residuals": [max(r[k] for r in history if len(r) > k) for k in range(sweeps)],
-        "contraction_ratio": max(ratios),
+        "node_ratios": node_ratios,
+        "node_bounds": node_bounds,
+        "contraction_ratio": max(node_ratios, default=0.0),
         "sweeps": sweeps,
         **out.storage(),
     }

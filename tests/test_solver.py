@@ -55,6 +55,9 @@ def etd(model, u0, times):
     return etd_march(u0, model, times)
 
 
+# the three models at 16^3 on the 2 pi box, mollified at kappa = 2 cells
+MODELS = [("ns", {}), ("mollified", {"kappa": 2 * np.pi / 8}), ("hyper", {"ell": 4.0})]
+
 # the Picard solver and the ETD2RK oracle, each called as run(model, u0, times)
 SOLVERS = [pytest.param(solve, id="picard"), pytest.param(etd, id="etd")]
 
@@ -172,11 +175,7 @@ def test_picard_contracts_geometrically():
     assert all(b < 0.5 * a for a, b in zip(res[:-1], res[1:]))
 
 
-@pytest.mark.parametrize(
-    "kind, kwargs",
-    # kappa = 2 cells of the 16^3 grid on the 2 pi box
-    [("ns", {}), ("mollified", {"kappa": 2 * np.pi / 8}), ("hyper", {"ell": 4.0})],
-)
+@pytest.mark.parametrize("kind, kwargs", MODELS)
 def test_picard_solves_the_whole_trajectory_fixed_point(kind, kwargs, monkeypatch):
     # independent whole-trajectory check: y + B(u, u) - u, with B from duhamel_bilinear
     g = make_grid(16, 2 * np.pi)
@@ -195,6 +194,31 @@ def test_picard_solves_the_whole_trajectory_fixed_point(kind, kwargs, monkeypatc
     assert res <= solver.TOL
     # the nonlinear part of the solution is far above the tolerance
     assert np.abs(traj.coeffs - y.coeffs).max() > 1e3 * solver.TOL * np.abs(y.coeffs).max()
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs, evals", [(*model, evals) for model, evals in zip(MODELS, (45, 42, 37))]
+)
+def test_picard_stops_on_its_budget(kind, kwargs, evals, monkeypatch):
+    # a node stops once its a-posteriori bound is at most TOL / M, so the node
+    # bounds sum to at most TOL; the evaluation counts are exact
+    tol = solver.TOL
+    g = make_grid(16, 2 * np.pi)
+    model = ModelSpec(kind, g, **kwargs)
+    u0 = random_field(g, 2.0, seed=3)
+    times = graded_times(2.0, 16)
+    traj = solve(model, u0, times)
+    assert traj.meta["nonlinear_evals"] == evals
+    bounds = traj.meta["node_bounds"]
+    assert len(bounds) == len(traj.meta["node_ratios"]) == len(times) - 1
+    assert max(bounds) <= tol / (len(times) - 1)
+    monkeypatch.setattr(solver, "TOL", 1e-14)
+    tight = solve(model, u0, times)
+    moved = max(
+        SpectralVectorField(g, traj.coeffs[m] - tight.coeffs[m]).l2_norm()
+        for m in range(len(times))
+    )
+    assert moved <= tol * linear_forced_term(u0, model, times).max_l2()
 
 
 def test_picard_divergence_detected():
@@ -224,14 +248,14 @@ def test_picard_fails_fast_on_a_non_finite_residual(monkeypatch):
     def nan_from_node_2(self, u, v):
         calls.append(1)
         n = original(self, u, v)
-        if len(calls) >= 5:  # node 0 and the 3 iterations of node 1 stay finite
+        if len(calls) >= 4:  # node 0 and the 2 iterations of node 1 stay finite
             n.coeffs[0, 1, 2, 3] = np.nan
         return n
 
     monkeypatch.setattr(ModelSpec, "nonlinear", nan_from_node_2)
     with pytest.raises(PicardDivergenceError, match=r"node 2 at t = .*non-finite"):
         solve(ModelSpec("ns", g), u0, graded_times(2.0, 16))
-    assert len(calls) == 5  # the first iteration at node 2 stops the solve
+    assert len(calls) == 4  # the first iteration at node 2 stops the solve
 
 
 def _with_nan(f):
@@ -245,6 +269,13 @@ def _with_mean(f):
 def _with_divergence(f):
     g = f.grid
     f.coeffs += 1e-3 * dealias(gradient(g, np.exp(-g.k_sq))).coeffs
+
+
+def _with_faint_divergence(f):
+    # the largest gradient mode, 3.7e-12, is above the round-off floor 64 eps max |u^|
+    # = 2.1e-12 of this data; a gradient half as large passes as round-off
+    g = f.grid
+    f.coeffs += 1e-11 * dealias(gradient(g, np.exp(-g.k_sq))).coeffs
 
 
 def _outside_the_band(f):
@@ -264,6 +295,7 @@ def _outside_the_band(f):
         (_with_nan, "non-finite coefficients"),
         (_with_mean, "nonzero mean"),
         (_with_divergence, "divergence ratio"),
+        (_with_faint_divergence, "divergence ratio"),
         (_outside_the_band, "outside the 2/3 band"),
     ],
 )
